@@ -22,9 +22,8 @@ def show_profile(base: int) -> None:
         f = profile.frequency[d]
         bar = "#" * round(40 * f)
         print(f"  digit {d:>3}  {f.numerator}/{f.denominator:<4} {bar}")
-    missing = sorted(set(range(base)) - profile.reachable)
-    if missing:
-        print(f"  never appears: {missing}")
+    if profile.gappy:
+        print(f"  never appears: {list(profile.missing_digits)}")
     else:
         print("  every digit appears")
     print()

@@ -44,7 +44,6 @@ from .prover import (
 from .residues import (
     DEFAULT_SAMPLE_SIZE,
     EmpiricalFrequencies,
-    GapClassification,
     ResidueProfile,
     classify_base,
     empirical_frequencies,
@@ -67,7 +66,6 @@ __all__ = [
     "validate_base",
     "validate_natural",
     "ResidueProfile",
-    "GapClassification",
     "EmpiricalFrequencies",
     "residue_profile",
     "classify_base",

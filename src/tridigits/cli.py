@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -66,51 +67,43 @@ def cmd_tri(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit(args: argparse.Namespace, doc, lines: list[str]) -> int:
+    """Print ``doc`` as JSON or ``lines`` as the table, per ``--format``."""
+    print(json.dumps(doc, indent=2) if args.format == "json" else "\n".join(lines))
+    return 0
+
+
 def cmd_residues(args: argparse.Namespace) -> int:
     profile = residue_profile(args.base)
     reachable = sorted(profile.reachable)
-    if args.format == "json":
-        doc = {
-            "base": profile.base,
-            "period": profile.period,
-            "reachable": reachable,
-            "frequencies": [
-                {
-                    "digit": d,
-                    "exact": _frac(profile.frequency[d]),
-                    "approx": float(profile.frequency[d]),
-                }
-                for d in range(profile.base)
-            ],
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
-    missing = sorted(set(range(profile.base)) - profile.reachable)
-    print(f"base = {profile.base}")
-    print(f"period = {profile.period}")
-    print(f"{'digit':>5}  {'exact':>7}  approx")
-    for d in range(profile.base):
-        f = profile.frequency[d]
-        print(f"{d:>5}  {_frac(f):>7}  {float(f):.6f}")
-    print(f"reachable: {_digit_set(reachable)}")
-    print(f"missing: {_digit_set(missing)}")
-    return 0
+    doc = {
+        "base": profile.base,
+        "period": profile.period,
+        "reachable": reachable,
+        "frequencies": [
+            {"digit": d, "exact": _frac(f), "approx": float(f)}
+            for d, f in profile.frequency.items()
+        ],
+    }
+    lines = [
+        f"base = {profile.base}",
+        f"period = {profile.period}",
+        f"{'digit':>5}  {'exact':>7}  approx",
+    ]
+    lines += [f"{d:>5}  {_frac(f):>7}  {float(f):.6f}" for d, f in profile.frequency.items()]
+    lines.append(f"reachable: {_digit_set(reachable)}")
+    lines.append(f"missing: {_digit_set(profile.missing_digits)}")
+    return _emit(args, doc, lines)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    results = [classify_base(base) for base in _parse_bases(args.bases)]
-    if args.format == "json":
-        doc = [
-            {"base": r.base, "gappy": r.gappy, "missing": list(r.missing_digits)}
-            for r in results
-        ]
-        print(json.dumps(doc, indent=2))
-        return 0
-    print(f"{'base':>4}  gappy  missing")
-    for r in results:
-        flag = "yes" if r.gappy else "no"
-        print(f"{r.base:>4}  {flag:<5}  {_digit_set(r.missing_digits)}")
-    return 0
+    profiles = [classify_base(base) for base in _parse_bases(args.bases)]
+    doc = [{"base": p.base, "gappy": p.gappy, "missing": list(p.missing_digits)} for p in profiles]
+    lines = [f"{'base':>4}  gappy  missing"]
+    for p in profiles:
+        flag = "yes" if p.gappy else "no"
+        lines.append(f"{p.base:>4}  {flag:<5}  {_digit_set(p.missing_digits)}")
+    return _emit(args, doc, lines)
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
@@ -121,42 +114,39 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 def cmd_freq(args: argparse.Namespace) -> int:
     empirical = empirical_frequencies(args.base, args.count)
-    profile = residue_profile(args.base)
     rows = []
-    for d in range(args.base):
-        proportion = Fraction(empirical.counts[d], args.count)
-        exact = profile.frequency[d]
+    for d, exact in residue_profile(args.base).frequency.items():
+        proportion = empirical.proportion(d)
         rows.append((d, empirical.counts[d], proportion, exact, abs(proportion - exact)))
     max_deviation = max(dev for *_, dev in rows)
-    if args.format == "json":
-        doc = {
-            "base": args.base,
-            "count": args.count,
-            "digits": [
-                {
-                    "digit": d,
-                    "count": count,
-                    "proportion": float(proportion),
-                    "exact": _frac(exact),
-                    "approx": float(exact),
-                    "deviation": float(dev),
-                }
-                for d, count, proportion, exact, dev in rows
-            ],
-            "max_deviation": float(max_deviation),
-        }
-        print(json.dumps(doc, indent=2))
-        return 0
-    print(f"base = {args.base}")
-    print(f"count = {args.count}")
-    print(f"{'digit':>5}  {'count':>9}  proportion  {'exact':>7}  {'approx':>8}  deviation")
+    doc = {
+        "base": args.base,
+        "count": args.count,
+        "digits": [
+            {
+                "digit": d,
+                "count": count,
+                "proportion": float(proportion),
+                "exact": _frac(exact),
+                "approx": float(exact),
+                "deviation": float(dev),
+            }
+            for d, count, proportion, exact, dev in rows
+        ],
+        "max_deviation": float(max_deviation),
+    }
+    lines = [
+        f"base = {args.base}",
+        f"count = {args.count}",
+        f"{'digit':>5}  {'count':>9}  proportion  {'exact':>7}  {'approx':>8}  deviation",
+    ]
     for d, count, proportion, exact, dev in rows:
-        print(
+        lines.append(
             f"{d:>5}  {count:>9}  {float(proportion):>10.6f}  "
             f"{_frac(exact):>7}  {float(exact):>8.6f}  {float(dev):.6f}"
         )
-    print(f"max deviation = {float(max_deviation):.6f}")
-    return 0
+    lines.append(f"max deviation = {float(max_deviation):.6f}")
+    return _emit(args, doc, lines)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -230,12 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residues", help="exact units-digit profile of one base")
     p.add_argument("--base", type=int, required=True)
-    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_residues)
 
     p = sub.add_parser("classify", help="gappy/non-gappy classification of bases")
     p.add_argument("--bases", required=True, help="e.g. 10, 3..16, or 4,8,16")
-    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("prove", help="case-enumeration proof transcript for one base")
@@ -245,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("freq", help="empirical units-digit counts vs exact frequencies")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--count", type=int, default=DEFAULT_SAMPLE_SIZE)
-    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_freq)
 
     p = sub.add_parser("simulate", help="cumulative-sum growth trace and power-law fit")
@@ -253,27 +240,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--base", type=int, help="also show units-digit histogram of totals")
     p.add_argument("--initial", type=int, default=0, help="starting total (default 0)")
-    p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_simulate)
 
+    for name in ("residues", "classify", "freq", "simulate"):
+        sub.choices[name].add_argument("--format", choices=("table", "json"), default="table")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Lift the int<->str conversion cap (Python 3.11+) so decimal input
-    # of unbounded length is accepted and huge values print.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # Lift the int<->str conversion cap (Python 3.11+) for this call only,
+    # so decimal input of unbounded length is accepted and huge values print.
+    capped = hasattr(sys, "set_int_max_str_digits")
+    if capped:
+        old_cap = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``). Point the descriptor
+        # at devnull so the flush at interpreter exit cannot fail again.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):
+            return 0
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 0
+    finally:
+        if capped:
+            sys.set_int_max_str_digits(old_cap)
 
 
 if __name__ == "__main__":

@@ -16,20 +16,24 @@ _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 def validate_base(base: int) -> int:
     """Return ``base`` unchanged after checking 2 <= base <= 256."""
-    if not isinstance(base, int):
+    if type(base) is not int:
         raise TypeError(f"base must be an int, got {type(base).__name__}")
     if base < MIN_BASE or base > MAX_BASE:
         raise ValueError(f"base must be in [{MIN_BASE}, {MAX_BASE}], got {base}")
     return base
 
 
-def validate_natural(n: int) -> int:
-    """Return ``n`` unchanged after checking it is a non-negative int."""
-    if not isinstance(n, int):
-        raise TypeError(f"expected an int, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    return n
+def validate_natural(value: int, name: str = "n", minimum: int = 0) -> int:
+    """Return ``value`` unchanged after checking it is an int >= ``minimum``.
+
+    ``bool`` and ``float`` raise TypeError, so no argument can turn an
+    exact result into an inexact one.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def parse_natural(text: str) -> int:
@@ -100,7 +104,7 @@ class DigitString:
 
 def to_digits(value: int, base: int) -> DigitString:
     """Positional base-L expansion of a non-negative integer."""
-    validate_natural(value)
+    validate_natural(value, "value")
     validate_base(base)
     if value == 0:
         return DigitString((0,), base)

@@ -18,6 +18,8 @@ from .residues import EmpiricalFrequencies
 LINEAR = "linear"
 CONSTANT = "constant"
 DECLINE = "decline"
+# The parameters each kind reads; the ones it does not read must stay 0.
+_PARAMETERS = {LINEAR: (), CONSTANT: ("level",), DECLINE: ("start", "slope")}
 
 
 @dataclass(frozen=True)
@@ -36,18 +38,14 @@ class DividingDynamics:
     slope: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind == LINEAR:
-            pass
-        elif self.kind == CONSTANT:
-            if self.level < 1:
-                raise ValueError(f"constant level must be >= 1, got {self.level}")
-        elif self.kind == DECLINE:
-            if self.start < 1:
-                raise ValueError(f"decline start must be >= 1, got {self.start}")
-            if self.slope < 1:
-                raise ValueError(f"decline slope must be >= 1, got {self.slope}")
-        else:
+        if self.kind not in _PARAMETERS:
             raise ValueError(f"unknown dynamics kind {self.kind!r}")
+        for name in ("level", "start", "slope"):
+            value = getattr(self, name)
+            used = name in _PARAMETERS[self.kind]
+            validate_natural(value, f"{self.kind} {name}", 1 if used else 0)
+            if value and not used:
+                raise ValueError(f"{self.kind} dynamics take no {name}, got {value}")
 
     @classmethod
     def linear(cls) -> "DividingDynamics":
@@ -117,9 +115,8 @@ class PowerLawFit:
 
 def simulate(dynamics: DividingDynamics, horizon: int, initial_total: int = 0) -> GrowthTrace:
     """Run the dynamics for ``horizon`` steps, accumulating totals exactly."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    validate_natural(initial_total)
+    validate_natural(horizon, "horizon", 1)
+    validate_natural(initial_total, "initial_total")
     dividing = []
     total = []
     running = initial_total
@@ -179,7 +176,4 @@ def fit_power_law(trace: GrowthTrace, window: tuple[int, int] | None = None) -> 
 def digit_histogram(trace: GrowthTrace, base: int) -> EmpiricalFrequencies:
     """Units-digit counts (base L) of the totals N(1) .. N(T)."""
     validate_base(base)
-    counts = {d: 0 for d in range(base)}
-    for value in trace.total:
-        counts[value % base] += 1
-    return EmpiricalFrequencies(base=base, sample_size=trace.horizon, counts=counts)
+    return EmpiricalFrequencies.tally(base, (value % base for value in trace.total))

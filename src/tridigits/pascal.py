@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .core import validate_natural
+
 
 @dataclass(frozen=True)
 class PascalRow:
@@ -28,8 +30,7 @@ def iter_rows() -> Iterator[tuple[int, ...]]:
 
 def pascal_row(n: int) -> PascalRow:
     """Row n of the triangle: C(n, 0) .. C(n, n)."""
-    if n < 0:
-        raise ValueError(f"row index must be >= 0, got {n}")
+    validate_natural(n)
     rows = iter_rows()
     for _ in range(n):
         next(rows)
@@ -44,8 +45,7 @@ def quadratic_diagonal(count: int) -> list[int]:
     values are extracted from additively built rows, not computed by
     the closed form, so comparing the two is a real cross-check.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    validate_natural(count, "count", 1)
     out = []
     for n, row in enumerate(iter_rows()):
         if n >= 2:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import tri_mod, validate_base
+from .core import tri_mod, validate_base, validate_natural
 
 PARITY_ANY = "any"
 PARITY_EVEN = "even"
@@ -69,8 +69,7 @@ def enumerate_cases(base: int) -> ProofTranscript:
 
 def verify_case(case: CongruenceCase, k_limit: int) -> bool:
     """Check the fact against every admissible k with 0 <= k <= k_limit."""
-    if k_limit < 1:
-        raise ValueError(f"k_limit must be >= 1, got {k_limit}")
+    validate_natural(k_limit, "k_limit", 1)
     if case.k_parity == PARITY_ANY:
         ks = range(0, k_limit + 1)
     elif case.k_parity == PARITY_EVEN:

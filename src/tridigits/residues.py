@@ -1,9 +1,9 @@
 """Which units digits triangular numbers can end with, per base.
 
 The sequence n -> tri_mod(n, L) repeats with period dividing 2L, so the
-window n in [0, 2L) decides everything: the reachable digit set, the
-exact frequency of each digit, and the minimal period. Frequencies are
-kept as exact rationals; no digit's share is ever approximated.
+window n in [0, 2L) decides everything: the reachable and missing digit
+sets and the exact frequency of each digit. Frequencies are kept as
+exact rationals; no digit's share is ever approximated.
 """
 
 from __future__ import annotations
@@ -11,8 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
+from typing import Iterable
 
-from .core import tri_mod, validate_base
+from .core import MIN_BASE, tri_mod, validate_base, validate_natural
 
 DEFAULT_SAMPLE_SIZE = 100_000
 
@@ -26,12 +28,15 @@ class ResidueProfile:
     reachable: frozenset[int]
     frequency: dict[int, Fraction]  # entry for every digit 0..base-1
 
+    @property
+    def missing_digits(self) -> tuple[int, ...]:
+        """Digits no triangular number ends with, in increasing order."""
+        return tuple(d for d in range(self.base) if d not in self.reachable)
 
-@dataclass(frozen=True)
-class GapClassification:
-    base: int
-    gappy: bool
-    missing_digits: tuple[int, ...]
+    @property
+    def gappy(self) -> bool:
+        """True when some digit is never a units digit."""
+        return len(self.reachable) < self.base
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,13 @@ class EmpiricalFrequencies:
     base: int
     sample_size: int
     counts: dict[int, int]  # entry for every digit 0..base-1
+
+    @classmethod
+    def tally(cls, base: int, digits: Iterable[int]) -> EmpiricalFrequencies:
+        """Count ``digits``, each already reduced mod ``base``."""
+        counts = Counter(digits)
+        every_digit = {d: counts[d] for d in range(base)}
+        return cls(base=base, sample_size=counts.total(), counts=every_digit)
 
     def proportion(self, digit: int) -> Fraction:
         return Fraction(self.counts[digit], self.sample_size)
@@ -52,55 +64,37 @@ def fundamental_window(base: int) -> list[int]:
     return [tri_mod(n, base) for n in range(2 * base)]
 
 
-def _minimal_period(window: list[int]) -> int:
-    # The full window length is always a period, so the minimal one is
-    # found among its divisors, checked in increasing order.
-    size = len(window)
-    for p in range(1, size + 1):
-        if size % p:
-            continue
-        if all(window[i] == window[(i + p) % size] for i in range(size)):
-            return p
-    return size
-
-
 def residue_profile(base: int) -> ResidueProfile:
-    """Exact reachable set, frequencies, and period for one base."""
-    validate_base(base)
+    """Exact reachable set, frequencies, and period for one base.
+
+    The period is the base when it is odd and twice the base when it is
+    even: T(n+p) - T(n) = p*n + p(p+1)/2 vanishes mod L for every n only
+    when L divides p and, for even L, p/L is even.
+    """
     window = fundamental_window(base)
     counts = Counter(window)
-    span = len(window)
-    frequency = {d: Fraction(counts.get(d, 0), span) for d in range(base)}
-    reachable = frozenset(d for d, f in frequency.items() if f > 0)
     return ResidueProfile(
         base=base,
-        period=_minimal_period(window),
-        reachable=reachable,
-        frequency=frequency,
+        period=base if base % 2 else 2 * base,
+        reachable=frozenset(counts),
+        frequency={d: Fraction(counts[d], len(window)) for d in range(base)},
     )
 
 
-def classify_base(base: int) -> GapClassification:
-    """Gappy (some digits unreachable) or non-gappy (all reachable)."""
-    profile = residue_profile(base)
-    missing = tuple(sorted(set(range(base)) - profile.reachable))
-    return GapClassification(base=base, gappy=bool(missing), missing_digits=missing)
+def classify_base(base: int) -> ResidueProfile:
+    """The profile of ``base``, read for ``.gappy`` and ``.missing_digits``."""
+    return residue_profile(base)
 
 
 def empirical_frequencies(base: int, sample_size: int = DEFAULT_SAMPLE_SIZE) -> EmpiricalFrequencies:
     """Units-digit counts of the first ``sample_size`` triangular numbers.
 
-    Counts n in [1, sample_size], each contributing tri_mod(n, base).
+    Counts n in [1, sample_size], each contributing tri_mod(n, base),
+    read from the fundamental window since it repeats every 2*base.
     """
-    validate_base(base)
-    if sample_size < 1:
-        raise ValueError(f"sample_size must be >= 1, got {sample_size}")
-    counts = Counter(tri_mod(n, base) for n in range(1, sample_size + 1))
-    return EmpiricalFrequencies(
-        base=base,
-        sample_size=sample_size,
-        counts={d: counts.get(d, 0) for d in range(base)},
-    )
+    validate_natural(sample_size, "sample_size", 1)
+    window = fundamental_window(base)
+    return EmpiricalFrequencies.tally(base, islice(cycle(window), 1, sample_size + 1))
 
 
 def power_of_two_sweep(max_base: int) -> list[tuple[int, bool]]:
@@ -109,6 +103,5 @@ def power_of_two_sweep(max_base: int) -> list[tuple[int, bool]]:
     Sweeping makes the pattern visible: within the supported range the
     bases with no gaps are exactly the powers of two.
     """
-    if max_base < 2 or max_base > 256:
-        raise ValueError(f"max_base must be in [2, 256], got {max_base}")
-    return [(base, classify_base(base).gappy) for base in range(2, max_base + 1)]
+    validate_base(max_base)
+    return [(base, classify_base(base).gappy) for base in range(MIN_BASE, max_base + 1)]

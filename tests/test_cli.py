@@ -42,6 +42,21 @@ def test_tri_huge_index(capsys):
     assert "units digit = 0" in out
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str cap")
+def test_tri_lifts_int_str_cap_only_for_the_call(capsys):
+    old = sys.get_int_max_str_digits()
+    default = sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(default)
+    try:
+        code, out, _ = run_cli(capsys, "tri", "9" * 5000)
+        assert sys.get_int_max_str_digits() == default
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 0
+    # T(10^5000 - 1) = 5*10^9999 - 5*10^4999
+    assert f"value = 4{'9' * 4999}5{'0' * 4999}\n" in out
+
+
 def test_tri_rejects_garbage(capsys):
     code, out, err = run_cli(capsys, "tri", "abc")
     assert code != 0
@@ -307,3 +322,21 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout == RESIDUES_BASE10_TABLE
+
+
+def test_closed_stdout_exits_quietly():
+    # the JSON document is far larger than a pipe buffer, so the write
+    # is still blocked when the reader goes away after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tridigits", "simulate", "--dynamics", "linear",
+         "--steps", "20000", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err

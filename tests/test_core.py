@@ -5,13 +5,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tridigits import (
+    PARITY_ANY,
+    CongruenceCase,
     DigitString,
+    DividingDynamics,
+    empirical_frequencies,
     from_digits,
     parse_natural,
+    pascal_row,
+    quadratic_diagonal,
+    simulate,
     to_digits,
     tri_exact,
     tri_mod,
     validate_base,
+    verify_case,
 )
 
 
@@ -149,3 +157,29 @@ def test_parse_natural():
     for bad in ["", "-1", "1.5", "abc", " 5", "+5"]:
         with pytest.raises(ValueError):
             parse_natural(bad)
+
+
+SOUND_CASE = CongruenceCase(3, 0, PARITY_ANY, 0)
+
+
+# bool is an int subclass and floats compare like ints, so each of these
+# once slipped through or failed inside the loop it was meant to bound.
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: tri_exact(True), TypeError, id="tri_exact"),
+        pytest.param(lambda: tri_mod(True, 10), TypeError, id="tri_mod"),
+        pytest.param(lambda: to_digits(True, 2), TypeError, id="to_digits"),
+        pytest.param(lambda: quadratic_diagonal(True), TypeError, id="diagonal"),
+        pytest.param(lambda: empirical_frequencies(10, 2.5), TypeError, id="empirical"),
+        pytest.param(lambda: verify_case(SOUND_CASE, 1.5), TypeError, id="verify_case"),
+        pytest.param(lambda: simulate(DividingDynamics.linear(), 2.0), TypeError, id="simulate"),
+        pytest.param(lambda: pascal_row(2.0), TypeError, id="pascal_row"),
+        pytest.param(lambda: DividingDynamics.constant(1.5), TypeError, id="constant"),
+        pytest.param(lambda: DividingDynamics.decline(3.5, 1), TypeError, id="decline"),
+        pytest.param(lambda: DividingDynamics("linear", level=5), ValueError, id="linear_level"),
+    ],
+)
+def test_entry_points_validate_integer_arguments(call, error):
+    with pytest.raises(error):
+        call()

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from tridigits import (
     fundamental_window,
     power_of_two_sweep,
     residue_profile,
+    tri_exact,
 )
 
 
@@ -104,6 +106,18 @@ def test_empirical_counts_sum_to_sample_size():
         emp = empirical_frequencies(base, n)
         assert sum(emp.counts.values()) == n
         assert emp.proportion(0) == Fraction(emp.counts[0], n)
+
+
+@given(
+    base=st.integers(min_value=2, max_value=256),
+    sample_size=st.integers(min_value=1, max_value=5000),
+)
+def test_empirical_matches_naive_count(base, sample_size):
+    # naive oracle: reduce each exact triangular number
+    naive = Counter(tri_exact(n) % base for n in range(1, sample_size + 1))
+    emp = empirical_frequencies(base, sample_size)
+    assert emp.counts == {d: naive[d] for d in range(base)}
+    assert emp.sample_size == sample_size
 
 
 def test_empirical_rejects_zero_sample():
