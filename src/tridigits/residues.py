@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, islice
 from typing import Iterable
 
 from .core import MIN_BASE, tri_mod, validate_base, validate_natural
@@ -89,12 +88,11 @@ def classify_base(base: int) -> ResidueProfile:
 def empirical_frequencies(base: int, sample_size: int = DEFAULT_SAMPLE_SIZE) -> EmpiricalFrequencies:
     """Units-digit counts of the first ``sample_size`` triangular numbers.
 
-    Counts n in [1, sample_size], each contributing tri_mod(n, base),
-    read from the fundamental window since it repeats every 2*base.
+    Counts n in [1, sample_size], each contributing tri_mod(n, base).
     """
+    validate_base(base)
     validate_natural(sample_size, "sample_size", 1)
-    window = fundamental_window(base)
-    return EmpiricalFrequencies.tally(base, islice(cycle(window), 1, sample_size + 1))
+    return EmpiricalFrequencies.tally(base, (tri_mod(n, base) for n in range(1, sample_size + 1)))
 
 
 def power_of_two_sweep(max_base: int) -> list[tuple[int, bool]]:
