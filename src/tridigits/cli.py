@@ -56,9 +56,10 @@ def _parse_bases(text: str) -> list[int]:
 
 
 def cmd_tri(args: argparse.Namespace) -> int:
-    n = parse_natural(args.n)
-    value = tri_exact(n)
-    print(f"n = {n}")
+    value = tri_exact(parse_natural(args.n))
+    # args.n is validated decimal text, so stripping its leading zeros
+    # echoes n without converting it back from binary.
+    print(f"n = {args.n.lstrip('0') or '0'}")
     print(f"value = {value}")
     if args.base is not None:
         digits = to_digits(value, args.base)

@@ -78,14 +78,15 @@ class DigitString:
     base: int
 
     def __post_init__(self) -> None:
-        validate_base(self.base)
+        base = validate_base(self.base)
         if not self.digits:
             raise ValueError("digit string must contain at least one digit")
         for d in self.digits:
-            if not isinstance(d, int):
-                raise TypeError(f"digit must be an int, got {type(d).__name__}")
-            if d < 0 or d >= self.base:
-                raise ValueError(f"digit {d} out of range for base {self.base}")
+            # type() rather than isinstance(), so a bool is no digit
+            if type(d) is not int or not 0 <= d < base:
+                if type(d) is not int:
+                    raise TypeError(f"digit must be an int, got {type(d).__name__}")
+                raise ValueError(f"digit {d} out of range for base {base}")
         if len(self.digits) > 1 and self.digits[0] == 0:
             raise ValueError("leading zero in multi-digit string")
 
@@ -102,17 +103,56 @@ class DigitString:
         return ":".join(str(d) for d in self.digits)
 
 
-def to_digits(value: int, base: int) -> DigitString:
-    """Positional base-L expansion of a non-negative integer."""
-    validate_natural(value, "value")
-    validate_base(base)
-    if value == 0:
-        return DigitString((0,), base)
+# Below base**64 the plain divmod loop is faster than splitting.
+_LEAF_DIGITS = 64
+
+
+def _leaf_digits(value: int, base: int, width: int) -> list[int]:
+    """Digits of ``value``, most significant first, zero-padded to ``width``."""
     digits = []
     while value:
         value, d = divmod(value, base)
         digits.append(d)
+    digits.extend([0] * (width - len(digits)))
     digits.reverse()
+    return digits
+
+
+def _split_digits(value: int, base: int, powers: list[int], k: int, width: int, out: list[int]) -> None:
+    """Append the digits of ``value`` < powers[k]**2 to ``out``.
+
+    ``powers[k]`` is base**(64 * 2**k). A non-zero ``width`` pads the
+    digits to the full 64 * 2**(k + 1); zero means no leading zeros.
+    """
+    if k < 0:
+        out.extend(_leaf_digits(value, base, width))
+        return
+    half = _LEAF_DIGITS << k
+    high, low = divmod(value, powers[k])
+    _split_digits(high, base, powers, k - 1, half if width else 0, out)
+    _split_digits(low, base, powers, k - 1, half if width or high else 0, out)
+
+
+def to_digits(value: int, base: int) -> DigitString:
+    """Positional base-L expansion of a non-negative integer.
+
+    Large values are split by the powers base**(64 * 2**k) and each half
+    converted on its own (Knuth, TAOCP vol. 2, 4.4). With schoolbook
+    division that costs about two divisions of the value by its square
+    root, not one division of the whole value per digit; with faster
+    division it is subquadratic.
+    """
+    validate_natural(value, "value")
+    validate_base(base)
+    powers = [base**_LEAF_DIGITS]
+    if value < powers[0]:
+        return DigitString(tuple(_leaf_digits(value, base, 1)), base)
+    # The bit lengths rule out the last, largest square without computing it.
+    bits = value.bit_length()
+    while 2 * powers[-1].bit_length() - 1 <= bits and (square := powers[-1] ** 2) <= value:
+        powers.append(square)
+    digits: list[int] = []
+    _split_digits(value, base, powers, len(powers) - 1, 0, digits)
     return DigitString(tuple(digits), base)
 
 

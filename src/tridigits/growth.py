@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import validate_base, validate_natural
+from .core import parse_natural, validate_base, validate_natural
 from .residues import EmpiricalFrequencies
 
 LINEAR = "linear"
@@ -81,11 +81,11 @@ def parse_dynamics(text: str) -> DividingDynamics:
         if kind == LINEAR and not params:
             return DividingDynamics.linear()
         if kind == CONSTANT and params:
-            return DividingDynamics.constant(int(params))
+            return DividingDynamics.constant(parse_natural(params))
         if kind == DECLINE and params:
             start_text, sep, slope_text = params.partition(",")
             if sep:
-                return DividingDynamics.decline(int(start_text), int(slope_text))
+                return DividingDynamics.decline(parse_natural(start_text), parse_natural(slope_text))
     except ValueError as exc:
         raise ValueError(f"malformed dynamics spec {text!r}: {exc}") from None
     raise ValueError(f"malformed dynamics spec {text!r}")

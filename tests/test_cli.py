@@ -57,6 +57,13 @@ def test_tri_lifts_int_str_cap_only_for_the_call(capsys):
     assert f"value = 4{'9' * 4999}5{'0' * 4999}\n" in out
 
 
+@pytest.mark.parametrize("n, echoed", [("007", "7"), ("000", "0")])
+def test_tri_echoes_index_without_leading_zeros(capsys, n, echoed):
+    code, out, _ = run_cli(capsys, "tri", n)
+    assert code == 0
+    assert out.startswith(f"n = {echoed}\n")
+
+
 def test_tri_rejects_garbage(capsys):
     code, out, err = run_cli(capsys, "tri", "abc")
     assert code != 0
@@ -263,6 +270,13 @@ def test_simulate_malformed_dynamics(capsys):
     code, _, err = run_cli(capsys, "simulate", "--dynamics", "exp:3", "--steps", "5")
     assert code != 0
     assert "malformed dynamics spec" in err
+
+
+def test_simulate_rejects_underscore_in_dynamics(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--dynamics", "constant:1_0", "--steps", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed dynamics spec") and err.count("\n") == 1
 
 
 def test_simulate_fit_unavailable_is_not_an_error(capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -89,6 +90,73 @@ def test_to_digits_known_values():
     assert to_digits(91, 10).digits == (9, 1)
 
 
+def naive_digits(value, base):
+    """The one-digit-per-divmod loop to_digits used before it split by powers."""
+    if value == 0:
+        return (0,)
+    digits = []
+    while value:
+        value, d = divmod(value, base)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+@given(
+    value=st.integers(min_value=0, max_value=10**3000),
+    shift=st.integers(min_value=0, max_value=10_000),
+    base=st.integers(min_value=2, max_value=256),
+)
+def test_to_digits_matches_naive_loop(value, shift, base):
+    # the shift spreads the drawn values over every length up to 3000 digits
+    value >>= shift
+    assert to_digits(value, base).digits == naive_digits(value, base)
+
+
+@pytest.mark.parametrize("base", [2, 3, 7, 10, 16, 255, 256])
+def test_to_digits_matches_naive_loop_at_split_boundaries(base):
+    values = [0, 1]
+    for m in (63, 64, 65, 127, 128, 129, 256, 512, 1024, 1500):
+        values += [base**m - 1, base**m, base**m + 1]
+    # long internal zero runs: every low half below the top must be padded
+    values += [base**5000 + 1, base**4097 + base**64, (base - 1) * base**3000 + base - 1]
+    for value in values:
+        assert to_digits(value, base).digits == naive_digits(value, base), value
+
+
+@pytest.fixture
+def no_int_str_cap():
+    """Lift the int<->str cap (Python 3.11+) for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_to_digits_base10_matches_str_at_100k_digits(no_int_str_cap):
+    rng = random.Random(31)
+    for text in (
+        str(rng.randrange(1, 10)) + "".join(rng.choice("0123456789") for _ in range(99_999)),
+        "1" + "0" * 99_998 + "1",
+    ):
+        assert str(to_digits(int(text), 10)) == text
+
+
+# about 10^5 decimal digits each; the second has a 300 000-bit zero run
+LARGE_VALUES = [random.Random(32).getrandbits(332_193), (1 << 332_192) + 1]
+
+
+@pytest.mark.parametrize("value", LARGE_VALUES, ids=["random", "zero_run"])
+def test_to_digits_power_of_two_bases_match_builtins(value):
+    assert str(to_digits(value, 2)) == format(value, "b")
+    assert str(to_digits(value, 16)) == format(value, "x")
+    assert bytes(to_digits(value, 256).digits) == value.to_bytes((value.bit_length() + 7) // 8, "big")
+
+
 def test_from_digits_inverts_known_values():
     assert from_digits(DigitString((1, 0, 1), 3)) == 10
     assert from_digits(DigitString((0,), 2)) == 0
@@ -170,6 +238,7 @@ SOUND_CASE = CongruenceCase(3, 0, PARITY_ANY, 0)
         pytest.param(lambda: tri_exact(True), TypeError, id="tri_exact"),
         pytest.param(lambda: tri_mod(True, 10), TypeError, id="tri_mod"),
         pytest.param(lambda: to_digits(True, 2), TypeError, id="to_digits"),
+        pytest.param(lambda: DigitString((True, False), 2), TypeError, id="bool_digits"),
         pytest.param(lambda: quadratic_diagonal(True), TypeError, id="diagonal"),
         pytest.param(lambda: empirical_frequencies(10, 2.5), TypeError, id="empirical"),
         pytest.param(lambda: verify_case(SOUND_CASE, 1.5), TypeError, id="verify_case"),
