@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import __version__
@@ -18,6 +19,10 @@ from .core import parse_natural, to_digits, tri_exact, validate_base
 from .growth import digit_histogram, fit_power_law, parse_dynamics, simulate
 from .prover import enumerate_cases, render_transcript
 from .residues import DEFAULT_SAMPLE_SIZE, classify_base, empirical_frequencies, residue_profile
+
+# What a subcommand computes: its table lines and a builder of its
+# ``--format json`` document (None without --format). Only main prints.
+_Output = tuple[list[str], Callable[[], object] | None]
 
 
 def _frac(f: Fraction) -> str:
@@ -55,37 +60,21 @@ def _parse_bases(text: str) -> list[int]:
     return sorted(bases)
 
 
-def cmd_tri(args: argparse.Namespace) -> int:
+def cmd_tri(args: argparse.Namespace) -> _Output:
     value = tri_exact(parse_natural(args.n))
+    # Convert first: an invalid base fails before the decimal value is built.
+    digits = None if args.base is None else to_digits(value, args.base)
     # args.n is validated decimal text, so stripping its leading zeros
     # echoes n without converting it back from binary.
-    print(f"n = {args.n.lstrip('0') or '0'}")
-    print(f"value = {value}")
-    if args.base is not None:
-        digits = to_digits(value, args.base)
-        print(f"digits (base {args.base}) = {digits}")
-        print(f"units digit = {digits.units_digit}")
-    return 0
+    lines = [f"n = {args.n.lstrip('0') or '0'}", f"value = {value}"]
+    if digits is not None:
+        lines += [f"digits (base {args.base}) = {digits}", f"units digit = {digits.units_digit}"]
+    return lines, None
 
 
-def _emit(args: argparse.Namespace, doc, lines: list[str]) -> int:
-    """Print ``doc`` as JSON or ``lines`` as the table, per ``--format``."""
-    print(json.dumps(doc, indent=2) if args.format == "json" else "\n".join(lines))
-    return 0
-
-
-def cmd_residues(args: argparse.Namespace) -> int:
+def cmd_residues(args: argparse.Namespace) -> _Output:
     profile = residue_profile(args.base)
     reachable = sorted(profile.reachable)
-    doc = {
-        "base": profile.base,
-        "period": profile.period,
-        "reachable": reachable,
-        "frequencies": [
-            {"digit": d, "exact": _frac(f), "approx": float(f)}
-            for d, f in profile.frequency.items()
-        ],
-    }
     lines = [
         f"base = {profile.base}",
         f"period = {profile.period}",
@@ -94,33 +83,51 @@ def cmd_residues(args: argparse.Namespace) -> int:
     lines += [f"{d:>5}  {_frac(f):>7}  {float(f):.6f}" for d, f in profile.frequency.items()]
     lines.append(f"reachable: {_digit_set(reachable)}")
     lines.append(f"missing: {_digit_set(profile.missing_digits)}")
-    return _emit(args, doc, lines)
+    return lines, lambda: {
+        "base": profile.base,
+        "period": profile.period,
+        "reachable": reachable,
+        "frequencies": [
+            {"digit": d, "exact": _frac(f), "approx": float(f)}
+            for d, f in profile.frequency.items()
+        ],
+    }
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> _Output:
     profiles = [classify_base(base) for base in _parse_bases(args.bases)]
-    doc = [{"base": p.base, "gappy": p.gappy, "missing": list(p.missing_digits)} for p in profiles]
     lines = [f"{'base':>4}  gappy  missing"]
     for p in profiles:
         flag = "yes" if p.gappy else "no"
         lines.append(f"{p.base:>4}  {flag:<5}  {_digit_set(p.missing_digits)}")
-    return _emit(args, doc, lines)
+    return lines, lambda: [
+        {"base": p.base, "gappy": p.gappy, "missing": list(p.missing_digits)} for p in profiles
+    ]
 
 
-def cmd_prove(args: argparse.Namespace) -> int:
-    transcript = enumerate_cases(args.base)
-    sys.stdout.write(render_transcript(transcript))
-    return 0
+def cmd_prove(args: argparse.Namespace) -> _Output:
+    return render_transcript(enumerate_cases(args.base)).splitlines(), None
 
 
-def cmd_freq(args: argparse.Namespace) -> int:
+def cmd_freq(args: argparse.Namespace) -> _Output:
     empirical = empirical_frequencies(args.base, args.count)
     rows = []
     for d, exact in residue_profile(args.base).frequency.items():
         proportion = empirical.proportion(d)
         rows.append((d, empirical.counts[d], proportion, exact, abs(proportion - exact)))
     max_deviation = max(dev for *_, dev in rows)
-    doc = {
+    lines = [
+        f"base = {args.base}",
+        f"count = {args.count}",
+        f"{'digit':>5}  {'count':>9}  proportion  {'exact':>7}  {'approx':>8}  deviation",
+    ]
+    for d, count, proportion, exact, dev in rows:
+        lines.append(
+            f"{d:>5}  {count:>9}  {float(proportion):>10.6f}  "
+            f"{_frac(exact):>7}  {float(exact):>8.6f}  {float(dev):.6f}"
+        )
+    lines.append(f"max deviation = {float(max_deviation):.6f}")
+    return lines, lambda: {
         "base": args.base,
         "count": args.count,
         "digits": [
@@ -136,74 +143,57 @@ def cmd_freq(args: argparse.Namespace) -> int:
         ],
         "max_deviation": float(max_deviation),
     }
-    lines = [
-        f"base = {args.base}",
-        f"count = {args.count}",
-        f"{'digit':>5}  {'count':>9}  proportion  {'exact':>7}  {'approx':>8}  deviation",
-    ]
-    for d, count, proportion, exact, dev in rows:
-        lines.append(
-            f"{d:>5}  {count:>9}  {float(proportion):>10.6f}  "
-            f"{_frac(exact):>7}  {float(exact):>8.6f}  {float(dev):.6f}"
-        )
-    lines.append(f"max deviation = {float(max_deviation):.6f}")
-    return _emit(args, doc, lines)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> _Output:
     dynamics = parse_dynamics(args.dynamics)
     trace = simulate(dynamics, args.steps, args.initial)
+    lines = [
+        f"dynamics = {dynamics.describe()}",
+        f"steps = {trace.horizon}",
+        f"initial = {trace.initial_total}",
+        f"dividing = {_seq_line(trace.dividing)}",
+        f"totals = {_seq_line(trace.total)}",
+        f"final total = {trace.total[-1]}",
+    ]
+    # rest: the document's fields after the totals
     try:
         fit = fit_power_law(trace)
-        fit_note = None
     except ValueError as exc:
-        fit = None
-        fit_note = str(exc)
-    histogram = digit_histogram(trace, args.base) if args.base is not None else None
-    if args.format == "json":
-        doc = {
-            "dynamics": dynamics.describe(),
-            "steps": trace.horizon,
-            "initial": trace.initial_total,
-            "total": [str(v) for v in trace.total],
-            "fit": None
-            if fit is None
-            else {
+        lines.append(f"fit = unavailable ({exc})")
+        rest = {"fit": None}
+    else:
+        lines += [
+            f"fit window = [{fit.window[0]}, {fit.window[1]}]",
+            f"fit exponent = {fit.exponent:.6f}",
+            f"fit offset = {fit.offset:.6f}",
+            f"fit residual = {fit.residual:.6f}",
+        ]
+        rest = {
+            "fit": {
                 "exponent": fit.exponent,
                 "offset": fit.offset,
                 "residual": fit.residual,
                 "window": list(fit.window),
             },
         }
-        if histogram is not None:
-            doc["histogram"] = {
-                "base": histogram.base,
-                "counts": [
-                    {"digit": d, "count": histogram.counts[d]}
-                    for d in range(histogram.base)
-                ],
-            }
-        print(json.dumps(doc, indent=2))
-        return 0
-    print(f"dynamics = {dynamics.describe()}")
-    print(f"steps = {trace.horizon}")
-    print(f"initial = {trace.initial_total}")
-    print(f"dividing = {_seq_line(trace.dividing)}")
-    print(f"totals = {_seq_line(trace.total)}")
-    print(f"final total = {trace.total[-1]}")
-    if fit is None:
-        print(f"fit = unavailable ({fit_note})")
-    else:
-        print(f"fit window = [{fit.window[0]}, {fit.window[1]}]")
-        print(f"fit exponent = {fit.exponent:.6f}")
-        print(f"fit offset = {fit.offset:.6f}")
-        print(f"fit residual = {fit.residual:.6f}")
-    if histogram is not None:
-        print(f"units digit counts (base {histogram.base}):")
-        print(f"{'digit':>5}  count")
-        for d in range(histogram.base):
-            print(f"{d:>5}  {histogram.counts[d]}")
-    return 0
+    if args.base is not None:
+        histogram = digit_histogram(trace, args.base)
+        digits = range(histogram.base)
+        lines += [f"units digit counts (base {histogram.base}):", f"{'digit':>5}  count"]
+        lines += [f"{d:>5}  {histogram.counts[d]}" for d in digits]
+        rest["histogram"] = {
+            "base": histogram.base,
+            "counts": [{"digit": d, "count": histogram.counts[d]} for d in digits],
+        }
+    # Only --format json prints every total, so only it converts them.
+    return lines, lambda: {
+        "dynamics": dynamics.describe(),
+        "steps": trace.horizon,
+        "initial": trace.initial_total,
+        "total": [str(v) for v in trace.total],
+        **rest,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +247,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        lines, doc = args.func(args)
+        print(json.dumps(doc(), indent=2) if doc and args.format == "json" else "\n".join(lines))
+        return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:

@@ -67,25 +67,18 @@ class DividingDynamics:
         return max(self.start - self.slope * t, 0)
 
     def describe(self) -> str:
-        if self.kind == LINEAR:
-            return "linear"
-        if self.kind == CONSTANT:
-            return f"constant:{self.level}"
-        return f"decline:{self.start},{self.slope}"
+        values = ",".join(str(getattr(self, name)) for name in _PARAMETERS[self.kind])
+        return f"{self.kind}:{values}" if values else self.kind
 
 
 def parse_dynamics(text: str) -> DividingDynamics:
     """Parse ``linear``, ``constant:c``, or ``decline:D,a``."""
-    kind, _, params = text.partition(":")
+    kind, sep, params = text.partition(":")
+    names = _PARAMETERS.get(kind)
+    values = params.split(",") if sep else []
     try:
-        if kind == LINEAR and not params:
-            return DividingDynamics.linear()
-        if kind == CONSTANT and params:
-            return DividingDynamics.constant(parse_natural(params))
-        if kind == DECLINE and params:
-            start_text, sep, slope_text = params.partition(",")
-            if sep:
-                return DividingDynamics.decline(parse_natural(start_text), parse_natural(slope_text))
+        if names is not None and len(values) == len(names):
+            return DividingDynamics(kind, **{n: parse_natural(v) for n, v in zip(names, values)})
     except ValueError as exc:
         raise ValueError(f"malformed dynamics spec {text!r}: {exc}") from None
     raise ValueError(f"malformed dynamics spec {text!r}")

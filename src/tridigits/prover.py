@@ -17,7 +17,8 @@ PARITY_ANY = "any"
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
 
-_PARITY_LABEL = {PARITY_ANY: "all k", PARITY_EVEN: "k even", PARITY_ODD: "k odd"}
+# Per parity: its transcript tag, and the k it covers as range(first, ..., step).
+_PARITY = {PARITY_ANY: ("all k", 0, 1), PARITY_EVEN: ("k even", 0, 2), PARITY_ODD: ("k odd", 1, 2)}
 
 
 @dataclass(frozen=True)
@@ -70,16 +71,11 @@ def enumerate_cases(base: int) -> ProofTranscript:
 def verify_case(case: CongruenceCase, k_limit: int) -> bool:
     """Check the fact against every admissible k with 0 <= k <= k_limit."""
     validate_natural(k_limit, "k_limit", 1)
-    if case.k_parity == PARITY_ANY:
-        ks = range(0, k_limit + 1)
-    elif case.k_parity == PARITY_EVEN:
-        ks = range(0, k_limit + 1, 2)
-    elif case.k_parity == PARITY_ODD:
-        ks = range(1, k_limit + 1, 2)
-    else:
+    if case.k_parity not in _PARITY:
         raise ValueError(f"unknown parity {case.k_parity!r}")
+    _, first, step = _PARITY[case.k_parity]
     base, i, j = case.base, case.input_digit, case.output_digit
-    return all(tri_mod(base * k + i, base) == j for k in ks)
+    return all(tri_mod(base * k + i, base) == j for k in range(first, k_limit + 1, step))
 
 
 def render_transcript(transcript: ProofTranscript) -> str:
@@ -91,7 +87,7 @@ def render_transcript(transcript: ProofTranscript) -> str:
     base = transcript.base
     lines = [f"base={base}"]
     for c in transcript.cases:
-        tag = _PARITY_LABEL[c.k_parity]
+        tag = _PARITY[c.k_parity][0]
         lines.append(f"S_{{{base}k+{c.input_digit}}} == {c.output_digit} (mod {base}) [{tag}]")
     missing = ",".join(str(d) for d in transcript.derived_missing)
     lines.append("missing: {" + missing + "}")

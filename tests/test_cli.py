@@ -311,14 +311,55 @@ def test_identical_invocations_are_byte_identical(capsys, argv):
     assert out_a == out_b
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tri", "123", "--base", "1"],
+        ["residues", "--base", "1", "--format", "json"],
+        ["classify", "--bases", "10..3"],
+        ["prove", "--base", "300"],
+        ["freq", "--base", "10", "--count", "0"],
+        ["simulate", "--dynamics", "linear:", "--steps", "5"],
+        ["simulate", "--dynamics", "linear", "--steps", "5", "--base", "0", "--format", "json"],
+    ],
+)
+def test_failed_command_leaves_stdout_empty(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def run_both_formats(capsys, *argv):
+    _, table_out, _ = run_cli(capsys, *argv)
+    _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    return table_out.splitlines(), json.loads(json_out)
+
+
 def test_json_and_table_agree_on_content(capsys):
-    _, table_out, _ = run_cli(capsys, "residues", "--base", "7")
-    _, json_out, _ = run_cli(capsys, "residues", "--base", "7", "--format", "json")
-    doc = json.loads(json_out)
-    rows = [line.split() for line in table_out.splitlines()[3 : 3 + 7]]
+    table, doc = run_both_formats(capsys, "residues", "--base", "7")
+    rows = [line.split() for line in table[3 : 3 + 7]]
     for entry, row in zip(doc["frequencies"], rows):
         assert entry["digit"] == int(row[0])
         assert entry["exact"] == row[1]
+
+    table, doc = run_both_formats(capsys, "freq", "--base", "7", "--count", "500")
+    rows = [line.split() for line in table[3 : 3 + 7]]
+    assert [(e["digit"], e["count"]) for e in doc["digits"]] == [(int(r[0]), int(r[1])) for r in rows]
+    assert sum(e["count"] for e in doc["digits"]) == 500
+
+    table, doc = run_both_formats(
+        capsys, "simulate", "--dynamics", "decline:90,2", "--steps", "60", "--base", "7"
+    )
+    fields = dict(line.split(" = ", 1) for line in table if " = " in line)
+    assert fields["dynamics"] == doc["dynamics"] == "decline:90,2"
+    assert fields["final total"] == doc["total"][-1]
+    assert fields["fit window"] == "[{}, {}]".format(*doc["fit"]["window"]) == "[30, 60]"
+    assert fields["fit exponent"] == f"{doc['fit']['exponent']:.6f}"
+    rows = [line.split() for line in table[table.index("digit  count") + 1 :]]
+    counts = doc["histogram"]["counts"]
+    assert [(e["digit"], e["count"]) for e in counts] == [(int(r[0]), int(r[1])) for r in rows]
+    assert len(counts) == 7 and sum(e["count"] for e in counts) == 60
 
 
 def test_missing_subcommand_fails(capsys):

@@ -153,9 +153,12 @@ def test_parse_dynamics():
     assert parse_dynamics("linear") == DividingDynamics.linear()
     assert parse_dynamics("constant:3") == DividingDynamics.constant(3)
     assert parse_dynamics("decline:5,1") == DividingDynamics.decline(5, 1)
+    # as ``tri 007`` echoes n = 7, a spec's numbers are read as plain decimals
+    assert parse_dynamics("constant:07").describe() == "constant:7"
+    assert parse_dynamics("decline:010,02").describe() == "decline:10,2"
     # int() takes the last six, whose describe() would not echo the input
-    for bad in ["", "linear:1", "constant", "constant:0", "constant:x",
-                "decline:5", "decline:a,b", "exp:2", "constant:1_0", "constant: 7 ",
+    for bad in ["", "linear:1", "linear:", "constant", "constant:", "constant:0", "constant:x",
+                "decline:5", "decline:5,1,2", "decline:a,b", "exp:2", "constant:1_0", "constant: 7 ",
                 "constant:+7", "constant:\u0667", "decline:1_0,1", "decline:5, 1"]:
         with pytest.raises(ValueError, match="^malformed dynamics spec"):
             parse_dynamics(bad)

@@ -69,6 +69,16 @@ def test_verify_case_rejects_bad_limit():
         verify_case(CongruenceCase(3, 0, PARITY_ANY, 0), 0)
 
 
+def test_verify_case_checks_only_its_parity():
+    # T(4k) mod 4 is 0 for even k and 2 for odd k
+    assert verify_case(CongruenceCase(4, 0, PARITY_EVEN, 0), 10)
+    assert verify_case(CongruenceCase(4, 0, PARITY_ODD, 2), 10)
+    assert not verify_case(CongruenceCase(4, 0, PARITY_ANY, 0), 10)
+    assert not verify_case(CongruenceCase(4, 0, PARITY_ODD, 0), 10)
+    with pytest.raises(ValueError, match="unknown parity"):
+        verify_case(CongruenceCase(4, 0, "sometimes", 0), 10)
+
+
 def test_all_emitted_cases_sound():
     for base in range(2, 65):
         for case in enumerate_cases(base).cases:
