@@ -74,35 +74,36 @@ def cmd_tri(args: argparse.Namespace) -> _Output:
 
 def cmd_residues(args: argparse.Namespace) -> _Output:
     profile = residue_profile(args.base)
-    reachable = sorted(profile.reachable)
-    lines = [
-        f"base = {profile.base}",
-        f"period = {profile.period}",
-        f"{'digit':>5}  {'exact':>7}  approx",
-    ]
-    lines += [f"{d:>5}  {_frac(f):>7}  {float(f):.6f}" for d, f in profile.frequency.items()]
-    lines.append(f"reachable: {_digit_set(reachable)}")
-    lines.append(f"missing: {_digit_set(profile.missing_digits)}")
-    return lines, lambda: {
+    doc = {
         "base": profile.base,
         "period": profile.period,
-        "reachable": reachable,
+        "reachable": sorted(profile.reachable),
         "frequencies": [
             {"digit": d, "exact": _frac(f), "approx": float(f)}
             for d, f in profile.frequency.items()
         ],
     }
+    lines = [
+        f"base = {doc['base']}",
+        f"period = {doc['period']}",
+        f"{'digit':>5}  {'exact':>7}  approx",
+    ]
+    lines += [f"{r['digit']:>5}  {r['exact']:>7}  {r['approx']:.6f}" for r in doc["frequencies"]]
+    lines.append(f"reachable: {_digit_set(doc['reachable'])}")
+    lines.append(f"missing: {_digit_set(profile.missing_digits)}")
+    return lines, lambda: doc
 
 
 def cmd_classify(args: argparse.Namespace) -> _Output:
-    profiles = [classify_base(base) for base in _parse_bases(args.bases)]
-    lines = [f"{'base':>4}  gappy  missing"]
-    for p in profiles:
-        flag = "yes" if p.gappy else "no"
-        lines.append(f"{p.base:>4}  {flag:<5}  {_digit_set(p.missing_digits)}")
-    return lines, lambda: [
-        {"base": p.base, "gappy": p.gappy, "missing": list(p.missing_digits)} for p in profiles
+    doc = [
+        {"base": p.base, "gappy": p.gappy, "missing": list(p.missing_digits)}
+        for p in map(classify_base, _parse_bases(args.bases))
     ]
+    lines = [f"{'base':>4}  gappy  missing"]
+    lines += [
+        f"{r['base']:>4}  {'yes' if r['gappy'] else 'no':<5}  {_digit_set(r['missing'])}" for r in doc
+    ]
+    return lines, lambda: doc
 
 
 def cmd_prove(args: argparse.Namespace) -> _Output:
@@ -114,86 +115,64 @@ def cmd_freq(args: argparse.Namespace) -> _Output:
     rows = []
     for d, exact in residue_profile(args.base).frequency.items():
         proportion = empirical.proportion(d)
-        rows.append((d, empirical.counts[d], proportion, exact, abs(proportion - exact)))
-    max_deviation = max(dev for *_, dev in rows)
-    lines = [
-        f"base = {args.base}",
-        f"count = {args.count}",
-        f"{'digit':>5}  {'count':>9}  proportion  {'exact':>7}  {'approx':>8}  deviation",
-    ]
-    for d, count, proportion, exact, dev in rows:
-        lines.append(
-            f"{d:>5}  {count:>9}  {float(proportion):>10.6f}  "
-            f"{_frac(exact):>7}  {float(exact):>8.6f}  {float(dev):.6f}"
-        )
-    lines.append(f"max deviation = {float(max_deviation):.6f}")
-    return lines, lambda: {
+        rows.append({
+            "digit": d,
+            "count": empirical.counts[d],
+            "proportion": float(proportion),
+            "exact": _frac(exact),
+            "approx": float(exact),
+            "deviation": float(abs(proportion - exact)),
+        })
+    doc = {
         "base": args.base,
         "count": args.count,
-        "digits": [
-            {
-                "digit": d,
-                "count": count,
-                "proportion": float(proportion),
-                "exact": _frac(exact),
-                "approx": float(exact),
-                "deviation": float(dev),
-            }
-            for d, count, proportion, exact, dev in rows
-        ],
-        "max_deviation": float(max_deviation),
+        "digits": rows,
+        "max_deviation": max(r["deviation"] for r in rows),
     }
+    lines = [
+        f"base = {doc['base']}",
+        f"count = {doc['count']}",
+        f"{'digit':>5}  {'count':>9}  proportion  {'exact':>7}  {'approx':>8}  deviation",
+    ]
+    lines += [
+        f"{r['digit']:>5}  {r['count']:>9}  {r['proportion']:>10.6f}  "
+        f"{r['exact']:>7}  {r['approx']:>8.6f}  {r['deviation']:.6f}"
+        for r in rows
+    ]
+    lines.append(f"max deviation = {doc['max_deviation']:.6f}")
+    return lines, lambda: doc
 
 
 def cmd_simulate(args: argparse.Namespace) -> _Output:
     dynamics = parse_dynamics(args.dynamics)
+    if args.base is not None:
+        validate_base(args.base)  # before the trace, which may be long
     trace = simulate(dynamics, args.steps, args.initial)
-    lines = [
-        f"dynamics = {dynamics.describe()}",
-        f"steps = {trace.horizon}",
-        f"initial = {trace.initial_total}",
+    # The document except its totals, which only --format json converts.
+    head = {"dynamics": dynamics.describe(), "steps": trace.horizon, "initial": trace.initial_total}
+    lines = [f"{name} = {value}" for name, value in head.items()]
+    lines += [
         f"dividing = {_seq_line(trace.dividing)}",
         f"totals = {_seq_line(trace.total)}",
         f"final total = {trace.total[-1]}",
     ]
-    # rest: the document's fields after the totals
     try:
         fit = fit_power_law(trace)
     except ValueError as exc:
-        lines.append(f"fit = unavailable ({exc})")
         rest = {"fit": None}
+        lines.append(f"fit = unavailable ({exc})")
     else:
-        lines += [
-            f"fit window = [{fit.window[0]}, {fit.window[1]}]",
-            f"fit exponent = {fit.exponent:.6f}",
-            f"fit offset = {fit.offset:.6f}",
-            f"fit residual = {fit.residual:.6f}",
-        ]
-        rest = {
-            "fit": {
-                "exponent": fit.exponent,
-                "offset": fit.offset,
-                "residual": fit.residual,
-                "window": list(fit.window),
-            },
-        }
+        rest = {"fit": {"exponent": fit.exponent, "offset": fit.offset, "residual": fit.residual}}
+        lines.append("fit window = [{}, {}]".format(*fit.window))
+        lines += [f"fit {name} = {value:.6f}" for name, value in rest["fit"].items()]
+        rest["fit"]["window"] = list(fit.window)  # last in the document, first in the table
     if args.base is not None:
         histogram = digit_histogram(trace, args.base)
-        digits = range(histogram.base)
+        counts = [{"digit": d, "count": histogram.counts[d]} for d in range(histogram.base)]
+        rest["histogram"] = {"base": histogram.base, "counts": counts}
         lines += [f"units digit counts (base {histogram.base}):", f"{'digit':>5}  count"]
-        lines += [f"{d:>5}  {histogram.counts[d]}" for d in digits]
-        rest["histogram"] = {
-            "base": histogram.base,
-            "counts": [{"digit": d, "count": histogram.counts[d]} for d in digits],
-        }
-    # Only --format json prints every total, so only it converts them.
-    return lines, lambda: {
-        "dynamics": dynamics.describe(),
-        "steps": trace.horizon,
-        "initial": trace.initial_total,
-        "total": [str(v) for v in trace.total],
-        **rest,
-    }
+        lines += [f"{r['digit']:>5}  {r['count']}" for r in counts]
+    return lines, lambda: {**head, "total": [str(v) for v in trace.total], **rest}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -93,6 +93,7 @@ class GrowthTrace:
     total: tuple[int, ...]  # N(1) .. N(T)
 
     def total_at(self, t: int) -> int:
+        validate_natural(t, "t")
         if t < 1 or t > self.horizon:
             raise ValueError(f"t must be in [1, {self.horizon}], got {t}")
         return self.total[t - 1]
@@ -142,7 +143,7 @@ def fit_power_law(trace: GrowthTrace, window: tuple[int, int] | None = None) -> 
     """
     if window is None:
         window = default_window(trace)
-    lo, hi = window
+    lo, hi = (validate_natural(bound, "window bound") for bound in window)
     if lo < 1 or hi > trace.horizon or lo > hi:
         raise ValueError(f"window [{lo}, {hi}] not within [1, {trace.horizon}]")
     if hi - lo < 1:

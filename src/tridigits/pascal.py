@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .core import validate_natural
@@ -31,10 +32,7 @@ def iter_rows() -> Iterator[tuple[int, ...]]:
 def pascal_row(n: int) -> PascalRow:
     """Row n of the triangle: C(n, 0) .. C(n, n)."""
     validate_natural(n)
-    rows = iter_rows()
-    for _ in range(n):
-        next(rows)
-    return PascalRow(index=n, coefficients=next(rows))
+    return PascalRow(index=n, coefficients=next(islice(iter_rows(), n, None)))
 
 
 def quadratic_diagonal(count: int) -> list[int]:
@@ -46,10 +44,4 @@ def quadratic_diagonal(count: int) -> list[int]:
     the closed form, so comparing the two is a real cross-check.
     """
     validate_natural(count, "count", 1)
-    out = []
-    for n, row in enumerate(iter_rows()):
-        if n >= 2:
-            out.append(row[2])
-            if len(out) == count:
-                return out
-    raise AssertionError("unreachable")
+    return [row[2] for row in islice(iter_rows(), 2, count + 2)]

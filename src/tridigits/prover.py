@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import tri_mod, validate_base, validate_natural
+from .core import tri_mod, validate_natural
+from .residues import fundamental_window
 
 PARITY_ANY = "any"
 PARITY_EVEN = "even"
@@ -44,15 +45,15 @@ def enumerate_cases(base: int) -> ProofTranscript:
     """Complete case enumeration for one base.
 
     For each units digit i of the index, the k = 0 and k = 1
-    representatives give the even-k and odd-k residues. When they
-    coincide the case holds for all k; otherwise it splits into an
-    even/odd pair. 2L-periodicity guarantees no finer split exists.
+    representatives, read from the fundamental window, give the even-k
+    and odd-k residues. When they coincide the case holds for all k;
+    otherwise it splits into an even/odd pair. 2L-periodicity
+    guarantees no finer split exists.
     """
-    validate_base(base)
+    window = fundamental_window(base)
     cases: list[CongruenceCase] = []
     for i in range(base):
-        j_even = tri_mod(i, base)
-        j_odd = tri_mod(base + i, base)
+        j_even, j_odd = window[i], window[base + i]
         if j_even == j_odd:
             cases.append(CongruenceCase(base, i, PARITY_ANY, j_even))
         else:

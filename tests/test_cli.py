@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +95,12 @@ def test_residues_table_golden(capsys):
     code, out, _ = run_cli(capsys, "residues", "--base", "10")
     assert code == 0
     assert out == RESIDUES_BASE10_TABLE
+
+
+def test_readme_residues_example_matches_the_cli():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("$ tridigits residues --base 10\n", 1)[1].split("```", 1)[0]
+    assert example == RESIDUES_BASE10_TABLE
 
 
 def test_residues_json_schema(capsys):
@@ -279,6 +286,19 @@ def test_simulate_rejects_underscore_in_dynamics(capsys):
     assert err.startswith("error: malformed dynamics spec") and err.count("\n") == 1
 
 
+def test_simulate_rejects_base_before_simulating(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("simulated before --base was checked")
+
+    monkeypatch.setattr("tridigits.cli.simulate", refuse)
+    code, out, err = run_cli(
+        capsys, "simulate", "--dynamics", "linear", "--steps", "1000000", "--base", "300"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: base must be in [2, 256], got 300\n"
+
+
 def test_simulate_fit_unavailable_is_not_an_error(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--dynamics", "decline:1,1", "--steps", "5")
     assert code == 0
@@ -342,6 +362,14 @@ def test_json_and_table_agree_on_content(capsys):
     for entry, row in zip(doc["frequencies"], rows):
         assert entry["digit"] == int(row[0])
         assert entry["exact"] == row[1]
+
+    table, doc = run_both_formats(capsys, "classify", "--bases", "2..12")
+    rows = [line.split() for line in table[1:]]
+    assert [
+        (e["base"], "yes" if e["gappy"] else "no", "{" + ",".join(map(str, e["missing"])) + "}")
+        for e in doc
+    ] == [(int(r[0]), r[1], r[2]) for r in rows]
+    assert len(doc) == 11 and doc[8]["missing"] == [2, 4, 7, 9]
 
     table, doc = run_both_formats(capsys, "freq", "--base", "7", "--count", "500")
     rows = [line.split() for line in table[3 : 3 + 7]]

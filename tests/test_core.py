@@ -11,6 +11,7 @@ from tridigits import (
     DigitString,
     DividingDynamics,
     empirical_frequencies,
+    fit_power_law,
     from_digits,
     parse_natural,
     pascal_row,
@@ -228,6 +229,7 @@ def test_parse_natural():
 
 
 SOUND_CASE = CongruenceCase(3, 0, PARITY_ANY, 0)
+LINEAR_TRACE = simulate(DividingDynamics.linear(), 20)
 
 
 # bool is an int subclass and floats compare like ints, so each of these
@@ -244,6 +246,9 @@ SOUND_CASE = CongruenceCase(3, 0, PARITY_ANY, 0)
         pytest.param(lambda: verify_case(SOUND_CASE, 1.5), TypeError, id="verify_case"),
         pytest.param(lambda: simulate(DividingDynamics.linear(), 2.0), TypeError, id="simulate"),
         pytest.param(lambda: pascal_row(2.0), TypeError, id="pascal_row"),
+        pytest.param(lambda: fit_power_law(LINEAR_TRACE, (True, 10)), TypeError, id="fit_window_bool"),
+        pytest.param(lambda: fit_power_law(LINEAR_TRACE, (1, 10.0)), TypeError, id="fit_window_float"),
+        pytest.param(lambda: LINEAR_TRACE.total_at(True), TypeError, id="total_at"),
         pytest.param(lambda: DividingDynamics.constant(1.5), TypeError, id="constant"),
         pytest.param(lambda: DividingDynamics.decline(3.5, 1), TypeError, id="decline"),
         pytest.param(lambda: DividingDynamics("linear", level=5), ValueError, id="linear_level"),
