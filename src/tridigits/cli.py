@@ -8,6 +8,7 @@ Exact rationals are always printed as ``p/q`` in lowest terms.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -175,6 +176,7 @@ def cmd_simulate(args: argparse.Namespace) -> _Output:
     return lines, lambda: {**head, "total": [str(v) for v in trace.total], **rest}
 
 
+@functools.cache  # one parser per process: argparse keeps no state between parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tridigits",
@@ -186,31 +188,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tri", help="triangular number for an index n")
     p.add_argument("n", help="index as a decimal string (any length)")
     p.add_argument("--base", type=int, help="also show base-L digits and units digit")
-    p.set_defaults(func=cmd_tri)
 
     p = sub.add_parser("residues", help="exact units-digit profile of one base")
     p.add_argument("--base", type=int, required=True)
-    p.set_defaults(func=cmd_residues)
 
     p = sub.add_parser("classify", help="gappy/non-gappy classification of bases")
     p.add_argument("--bases", required=True, help="e.g. 10, 3..16, or 4,8,16")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("prove", help="case-enumeration proof transcript for one base")
     p.add_argument("--base", type=int, required=True)
-    p.set_defaults(func=cmd_prove)
 
     p = sub.add_parser("freq", help="empirical units-digit counts vs exact frequencies")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--count", type=int, default=DEFAULT_SAMPLE_SIZE)
-    p.set_defaults(func=cmd_freq)
 
     p = sub.add_parser("simulate", help="cumulative-sum growth trace and power-law fit")
     p.add_argument("--dynamics", required=True, help="linear | constant:c | decline:D,a")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--base", type=int, help="also show units-digit histogram of totals")
     p.add_argument("--initial", type=int, default=0, help="starting total (default 0)")
-    p.set_defaults(func=cmd_simulate)
 
     for name in ("residues", "classify", "freq", "simulate"):
         sub.choices[name].add_argument("--format", choices=("table", "json"), default="table")
@@ -226,7 +222,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        lines, doc = args.func(args)
+        # By name at call time, so a handler rebound after the parser was built is used.
+        lines, doc = globals()[f"cmd_{args.command}"](args)
         print(json.dumps(doc(), indent=2) if doc and args.format == "json" else "\n".join(lines))
         return 0
     except SystemExit as exc:

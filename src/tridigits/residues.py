@@ -8,6 +8,7 @@ exact rationals; no digit's share is ever approximated.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,10 +58,11 @@ class EmpiricalFrequencies:
         return Fraction(self.counts[digit], self.sample_size)
 
 
-def fundamental_window(base: int) -> list[int]:
-    """Residues tri_mod(n, base) for n in [0, 2*base)."""
+@functools.lru_cache(maxsize=None, typed=True)  # typed: base=2.0 must miss base=2 and raise
+def fundamental_window(base: int) -> tuple[int, ...]:
+    """Residues tri_mod(n, base) for n in [0, 2*base), cached per base as an immutable tuple."""
     validate_base(base)
-    return [tri_mod(n, base) for n in range(2 * base)]
+    return tuple(tri_mod(n, base) for n in range(2 * base))
 
 
 def residue_profile(base: int) -> ResidueProfile:
@@ -72,11 +74,12 @@ def residue_profile(base: int) -> ResidueProfile:
     """
     window = fundamental_window(base)
     counts = Counter(window)
+    share = {c: Fraction(c, len(window)) for c in {0, *counts.values()}}  # one per count
     return ResidueProfile(
         base=base,
         period=base if base % 2 else 2 * base,
         reachable=frozenset(counts),
-        frequency={d: Fraction(counts[d], len(window)) for d in range(base)},
+        frequency={d: share[counts[d]] for d in range(base)},
     )
 
 

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tridigits.cli import main
 
@@ -394,6 +398,90 @@ def test_missing_subcommand_fails(capsys):
     code = main([])
     capsys.readouterr()
     assert code != 0
+
+
+# One parser serves every main call of the process, so no parse may leave
+# state behind that changes the next one: help, version and errors included.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["--version"],
+        [],
+        ["bogus"],
+        ["residues"],
+        ["residues", "--base", "x"],
+        ["residues", "--base", "10"],
+    ],
+)
+def test_repeated_main_calls_share_one_parser(capsys, argv):
+    first = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv) == first
+
+
+def test_main_looks_up_handlers_at_call_time(capsys, monkeypatch):
+    # the parser is built and cached before the handler is rebound, as
+    # happens when a tracer wraps every cmd_* by name after import
+    assert run_cli(capsys, "residues", "--base", "10")[1] == RESIDUES_BASE10_TABLE
+    monkeypatch.setattr("tridigits.cli.cmd_residues", lambda args: ([f"patched {args.base}"], None))
+    assert run_cli(capsys, "residues", "--base", "10") == (0, "patched 10\n", "")
+
+
+# Numeric values are bounded and free text has no digits, so no draw can
+# start unbounded work.
+_NUMBER = st.integers(min_value=-5, max_value=2000).map(str)
+_BASE = st.integers(min_value=-5, max_value=300).map(str)
+_TEXT = st.text(alphabet="abz-_.,: ", max_size=6)
+_BASES = st.lists(
+    st.one_of(_BASE, st.tuples(_BASE, _BASE).map("..".join)), min_size=1, max_size=3
+).map(",".join)
+_DYNAMICS = st.one_of(
+    st.just("linear"),
+    _NUMBER.map("constant:{}".format),
+    st.tuples(_NUMBER, _NUMBER).map("decline:{0[0]},{0[1]}".format),
+)
+_OPTIONS = {
+    "tri": {"--base": _BASE},
+    "residues": {"--base": _BASE, "--format": st.sampled_from(["table", "json", "xml"])},
+    "classify": {"--bases": _BASES, "--format": st.sampled_from(["table", "json"])},
+    "prove": {"--base": _BASE},
+    "freq": {"--base": _BASE, "--count": _NUMBER, "--format": st.sampled_from(["table", "json"])},
+    "simulate": {"--dynamics": _DYNAMICS, "--steps": _NUMBER, "--base": _BASE,
+                 "--initial": _NUMBER, "--format": st.sampled_from(["table", "json"])},
+}
+_REQUIRED = {"--base", "--bases", "--dynamics", "--steps"}
+
+
+@st.composite
+def _argv(draw):
+    # one value in ten is free text; the options in _REQUIRED are mostly given
+    def value(values):
+        return draw(_TEXT if draw(st.integers(0, 9)) == 9 else values)
+
+    command = draw(st.sampled_from([*_OPTIONS, "bogus"]))
+    argv = [command] + ([value(_NUMBER)] if command == "tri" else [])
+    for option, values in _OPTIONS.get(command, {}).items():
+        if draw(st.integers(0, 9)) < (9 if option in _REQUIRED else 5):
+            argv += [option, value(values)]
+    return argv
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv())
+def test_fuzzed_argv_exits_cleanly_and_repeats(argv):
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+    assert _run_quietly(argv) == (code, out, err)
 
 
 def test_module_entry_point_runs():

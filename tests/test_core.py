@@ -13,6 +13,7 @@ from tridigits import (
     empirical_frequencies,
     fit_power_law,
     from_digits,
+    fundamental_window,
     parse_natural,
     pascal_row,
     quadratic_diagonal,
@@ -252,6 +253,14 @@ LINEAR_TRACE = simulate(DividingDynamics.linear(), 20)
         pytest.param(lambda: DividingDynamics.constant(1.5), TypeError, id="constant"),
         pytest.param(lambda: DividingDynamics.decline(3.5, 1), TypeError, id="decline"),
         pytest.param(lambda: DividingDynamics("linear", level=5), ValueError, id="linear_level"),
+        # a cached window for 2 must not answer for 2.0 or True; an untyped
+        # cache keys keyword calls by value, so base=2.0 would hit base=2
+        pytest.param(lambda: (fundamental_window(2), fundamental_window(2.0)), TypeError,
+                     id="window_cache_float"),
+        pytest.param(lambda: (fundamental_window(2), fundamental_window(True)), TypeError,
+                     id="window_cache_bool"),
+        pytest.param(lambda: (fundamental_window(base=2), fundamental_window(base=2.0)), TypeError,
+                     id="window_cache_keyword_float"),
     ],
 )
 def test_entry_points_validate_integer_arguments(call, error):

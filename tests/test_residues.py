@@ -12,6 +12,7 @@ from tridigits import (
     power_of_two_sweep,
     residue_profile,
     tri_exact,
+    tri_mod,
 )
 
 
@@ -40,11 +41,22 @@ def test_base8_profile_uniform():
 
 
 def test_base2_profile():
-    assert fundamental_window(2) == [0, 1, 1, 0]
+    assert fundamental_window(2) == (0, 1, 1, 0)
     profile = residue_profile(2)
     assert profile.reachable == frozenset({0, 1})
     assert profile.frequency == {0: Fraction(1, 2), 1: Fraction(1, 2)}
     assert profile.period == 4
+
+
+def test_cached_window_matches_naive_window():
+    # naive oracle: the uncached window, recomputed for every base
+    fundamental_window.cache_clear()
+    for base in range(2, 257):
+        window = fundamental_window(base)
+        assert window == tuple(tri_mod(n, base) for n in range(2 * base))
+        assert fundamental_window(base) is window
+        expected = {d: Fraction(window.count(d), 2 * base) for d in range(base)}
+        assert residue_profile(base).frequency == expected
 
 
 def test_frequencies_sum_to_one_exactly():
