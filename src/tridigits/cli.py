@@ -34,11 +34,12 @@ def _digit_set(digits) -> str:
     return "{" + ",".join(str(d) for d in digits) + "}"
 
 
-def _seq_line(values) -> str:
-    if len(values) <= 24:
-        return " ".join(str(v) for v in values)
-    head = " ".join(str(v) for v in values[:5])
-    return f"{head} ... {values[-1]}"
+def _seq_line(value_at: Callable[[int], int], count: int) -> str:
+    """value_at(1) .. value_at(count), or the first five and the last of a long run."""
+    if count <= 24:
+        return " ".join(str(value_at(t)) for t in range(1, count + 1))
+    head = " ".join(str(value_at(t)) for t in range(1, 6))
+    return f"{head} ... {value_at(count)}"
 
 
 def _parse_bases(text: str) -> list[int]:
@@ -48,10 +49,7 @@ def _parse_bases(text: str) -> list[int]:
         token = token.strip()
         lo_text, sep, hi_text = token.partition("..")
         try:
-            if sep:
-                lo, hi = int(lo_text), int(hi_text)
-            else:
-                lo = hi = int(token)
+            lo, hi = parse_natural(lo_text), parse_natural(hi_text if sep else lo_text)
         except ValueError:
             raise ValueError(f"invalid base range {token!r}") from None
         if lo > hi:
@@ -153,8 +151,8 @@ def cmd_simulate(args: argparse.Namespace) -> _Output:
     head = {"dynamics": dynamics.describe(), "steps": trace.horizon, "initial": trace.initial_total}
     lines = [f"{name} = {value}" for name, value in head.items()]
     lines += [
-        f"dividing = {_seq_line(trace.dividing)}",
-        f"totals = {_seq_line(trace.total)}",
+        f"dividing = {_seq_line(dynamics.dividing_at, trace.horizon)}",
+        f"totals = {_seq_line(trace.total_at, trace.horizon)}",
         f"final total = {trace.total[-1]}",
     ]
     try:

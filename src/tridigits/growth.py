@@ -10,7 +10,9 @@ their long-run shape is a power law with exponent approaching 2.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
+from itertools import accumulate, islice
 
 from .core import parse_natural, validate_base, validate_natural
 from .residues import EmpiricalFrequencies
@@ -86,11 +88,20 @@ def parse_dynamics(text: str) -> DividingDynamics:
 
 @dataclass(frozen=True)
 class GrowthTrace:
+    """The totals N(1) .. N(T); the horizon and dividing counts are derived."""
+
     dynamics: DividingDynamics
-    horizon: int
     initial_total: int
-    dividing: tuple[int, ...]  # d(1) .. d(T)
     total: tuple[int, ...]  # N(1) .. N(T)
+
+    @property
+    def horizon(self) -> int:
+        return len(self.total)
+
+    @property
+    def dividing(self) -> tuple[int, ...]:
+        """d(1) .. d(T), recomputed from the dynamics on each read."""
+        return tuple(map(self.dynamics.dividing_at, range(1, self.horizon + 1)))
 
     def total_at(self, t: int) -> int:
         validate_natural(t, "t")
@@ -111,21 +122,8 @@ def simulate(dynamics: DividingDynamics, horizon: int, initial_total: int = 0) -
     """Run the dynamics for ``horizon`` steps, accumulating totals exactly."""
     validate_natural(horizon, "horizon", 1)
     validate_natural(initial_total, "initial_total")
-    dividing = []
-    total = []
-    running = initial_total
-    for t in range(1, horizon + 1):
-        d = dynamics.dividing_at(t)
-        running += d
-        dividing.append(d)
-        total.append(running)
-    return GrowthTrace(
-        dynamics=dynamics,
-        horizon=horizon,
-        initial_total=initial_total,
-        dividing=tuple(dividing),
-        total=tuple(total),
-    )
+    running = accumulate(map(dynamics.dividing_at, range(1, horizon + 1)), initial=initial_total)
+    return GrowthTrace(dynamics, initial_total, tuple(islice(running, 1, None)))
 
 
 def default_window(trace: GrowthTrace) -> tuple[int, int]:
@@ -154,15 +152,9 @@ def fit_power_law(trace: GrowthTrace, window: tuple[int, int] | None = None) -> 
             raise ValueError(f"total at t={t} is not positive; cannot take its log")
     xs = [math.log(t) for t in ts]
     ys = [math.log(trace.total[t - 1]) for t in ts]
-    n = len(xs)
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    sxx = math.fsum((x - mean_x) ** 2 for x in xs)
-    sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = mean_y - slope * mean_x
+    slope, intercept = statistics.linear_regression(xs, ys)
     residual = math.sqrt(
-        math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / n
+        math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / len(xs)
     )
     return PowerLawFit(exponent=slope, offset=intercept, window=(lo, hi), residual=residual)
 

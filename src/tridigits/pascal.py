@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -22,11 +23,9 @@ def iter_rows() -> Iterator[tuple[int, ...]]:
     exact integer at any depth.
     """
     row = (1,)
-    n = 0
     while True:
         yield row
-        n += 1
-        row = (1,) + tuple(row[i] + row[i + 1] for i in range(n - 1)) + (1,)
+        row = tuple(map(operator.add, (0, *row), (*row, 0)))
 
 
 def pascal_row(n: int) -> PascalRow:

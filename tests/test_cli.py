@@ -161,7 +161,7 @@ def test_classify_list_syntax(capsys):
     assert all(not entry["gappy"] for entry in doc)
 
 
-@pytest.mark.parametrize("bad", ["10..3", "x..y", "", "5..400", "1..4"])
+@pytest.mark.parametrize("bad", ["10..3", "x..y", "", "5..400", "1..4", "1_0", "+5", "\u0663..\u0665", "3 ..5"])
 def test_classify_bad_ranges(capsys, bad):
     code, _, err = run_cli(capsys, "classify", "--bases", bad)
     assert code != 0
@@ -301,6 +301,19 @@ def test_simulate_rejects_base_before_simulating(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: base must be in [2, 256], got 300\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_simulate_prints_without_materialising_dividing(capsys, monkeypatch, fmt):
+    argv = ["simulate", "--dynamics", "decline:90,2", "--steps", "60", "--base", "7", "--format", fmt]
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0
+
+    def refuse(trace):
+        raise AssertionError("the CLI built the whole dividing tuple")
+
+    monkeypatch.setattr("tridigits.growth.GrowthTrace.dividing", property(refuse))
+    assert run_cli(capsys, *argv) == expected
 
 
 def test_simulate_fit_unavailable_is_not_an_error(capsys):

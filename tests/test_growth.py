@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from tridigits import (
     DividingDynamics,
+    GrowthTrace,
     digit_histogram,
     fit_power_law,
     parse_dynamics,
@@ -75,6 +77,80 @@ def test_conservation_and_monotonicity(kind, level, start, slope, horizon, initi
         assert total - previous == d
         assert total >= previous
         previous = total
+
+
+dynamics_strategy = st.one_of(
+    st.just(DividingDynamics.linear()),
+    st.builds(DividingDynamics.constant, st.integers(min_value=1, max_value=50)),
+    st.builds(
+        DividingDynamics.decline,
+        st.integers(min_value=1, max_value=500),
+        st.integers(min_value=1, max_value=5),
+    ),
+)
+
+
+def explicit_loop_simulate(dynamics, horizon, initial_total):
+    """The running-sum loop simulate replaced, kept as its oracle."""
+    dividing, total = [], []
+    running = initial_total
+    for t in range(1, horizon + 1):
+        d = dynamics.dividing_at(t)
+        running += d
+        dividing.append(d)
+        total.append(running)
+    return tuple(dividing), tuple(total)
+
+
+@given(
+    dynamics=dynamics_strategy,
+    horizon=st.integers(min_value=1, max_value=300),
+    initial=st.integers(min_value=1, max_value=10**6),
+)
+def test_simulate_matches_the_explicit_loop(dynamics, horizon, initial):
+    trace = simulate(dynamics, horizon, initial)
+    dividing, total = explicit_loop_simulate(dynamics, horizon, initial)
+    assert (trace.dividing, trace.total, trace.horizon) == (dividing, total, horizon)
+    assert (trace.dynamics, trace.initial_total) == (dynamics, initial)
+
+
+def test_trace_stores_only_its_totals():
+    trace = simulate(DividingDynamics.decline(5, 1), 6, 2)
+    assert [f.name for f in dataclasses.fields(GrowthTrace)] == ["dynamics", "initial_total", "total"]
+    assert trace == GrowthTrace(DividingDynamics.decline(5, 1), 2, (6, 9, 11, 12, 12, 12))
+    assert (trace.horizon, trace.dividing) == (6, (4, 3, 2, 1, 0, 0))
+
+
+def normal_equations_fit(trace, lo, hi):
+    """Means, sxx and sxy by hand: the arithmetic fit_power_law replaced."""
+    xs = [math.log(t) for t in range(lo, hi + 1)]
+    ys = [math.log(trace.total[t - 1]) for t in range(lo, hi + 1)]
+    n = len(xs)
+    mean_x = math.fsum(xs) / n
+    mean_y = math.fsum(ys) / n
+    sxx = math.fsum((x - mean_x) ** 2 for x in xs)
+    sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    intercept = mean_y - slope * mean_x
+    residual = math.sqrt(math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / n)
+    return slope, intercept, residual
+
+
+@given(
+    dynamics=dynamics_strategy,
+    horizon=st.integers(min_value=2, max_value=2000),
+    initial=st.integers(min_value=1, max_value=10**6),
+    data=st.data(),
+)
+def test_fit_matches_the_normal_equations(dynamics, horizon, initial, data):
+    trace = simulate(dynamics, horizon, initial)
+    lo = data.draw(st.integers(min_value=1, max_value=horizon - 1))
+    hi = data.draw(st.integers(min_value=lo + 1, max_value=horizon))
+    fit = fit_power_law(trace, (lo, hi))
+    # Python 3.12+ sums the regression with sumprod, not fsum: equal up to
+    # rounding, and abs_tol covers offsets and residuals that are about 0.
+    for got, want in zip((fit.exponent, fit.offset, fit.residual), normal_equations_fit(trace, lo, hi)):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_fit_exponent_for_linear_dynamics_near_two():
