@@ -12,7 +12,7 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from . import __version__
@@ -22,8 +22,18 @@ from .prover import enumerate_cases, render_transcript
 from .residues import DEFAULT_SAMPLE_SIZE, classify_base, empirical_frequencies, residue_profile
 
 # What a subcommand computes: its table lines and a builder of its
-# ``--format json`` document (None without --format). Only main prints.
-_Output = tuple[list[str], Callable[[], object] | None]
+# ``--format json`` text, in parts (None without --format). Only main prints.
+_Output = tuple[list[str], Callable[[], Iterable[str]] | None]
+_SLICE = 4096  # simulate's JSON totals are converted to text this many at a time
+
+
+def _simulate_json(head: dict, totals: tuple[int, ...], rest: dict) -> Iterator[str]:
+    """json.dumps({**head, "total": list(map(str, totals)), **rest}, indent=2), in parts."""
+    last = '"\n  ],\n' + json.dumps(rest, indent=2)[2:]  # dumped before any part is written
+    yield json.dumps(head, indent=2)[:-2] + f',\n  "total": [\n    "{totals[0]}'
+    for i in range(1, len(totals), _SLICE):
+        yield '",\n    "'.join(("", *map(str, totals[i : i + _SLICE])))
+    yield last
 
 
 def _frac(f: Fraction) -> str:
@@ -90,7 +100,7 @@ def cmd_residues(args: argparse.Namespace) -> _Output:
     lines += [f"{r['digit']:>5}  {r['exact']:>7}  {r['approx']:.6f}" for r in doc["frequencies"]]
     lines.append(f"reachable: {_digit_set(doc['reachable'])}")
     lines.append(f"missing: {_digit_set(profile.missing_digits)}")
-    return lines, lambda: doc
+    return lines, lambda: [json.dumps(doc, indent=2)]
 
 
 def cmd_classify(args: argparse.Namespace) -> _Output:
@@ -102,7 +112,7 @@ def cmd_classify(args: argparse.Namespace) -> _Output:
     lines += [
         f"{r['base']:>4}  {'yes' if r['gappy'] else 'no':<5}  {_digit_set(r['missing'])}" for r in doc
     ]
-    return lines, lambda: doc
+    return lines, lambda: [json.dumps(doc, indent=2)]
 
 
 def cmd_prove(args: argparse.Namespace) -> _Output:
@@ -139,7 +149,7 @@ def cmd_freq(args: argparse.Namespace) -> _Output:
         for r in rows
     ]
     lines.append(f"max deviation = {doc['max_deviation']:.6f}")
-    return lines, lambda: doc
+    return lines, lambda: [json.dumps(doc, indent=2)]
 
 
 def cmd_simulate(args: argparse.Namespace) -> _Output:
@@ -171,7 +181,7 @@ def cmd_simulate(args: argparse.Namespace) -> _Output:
         rest["histogram"] = {"base": histogram.base, "counts": counts}
         lines += [f"units digit counts (base {histogram.base}):", f"{'digit':>5}  count"]
         lines += [f"{r['digit']:>5}  {r['count']}" for r in counts]
-    return lines, lambda: {**head, "total": [str(v) for v in trace.total], **rest}
+    return lines, lambda: _simulate_json(head, trace.total, rest)
 
 
 @functools.cache  # one parser per process: argparse keeps no state between parses
@@ -222,7 +232,8 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         # By name at call time, so a handler rebound after the parser was built is used.
         lines, doc = globals()[f"cmd_{args.command}"](args)
-        print(json.dumps(doc(), indent=2) if doc and args.format == "json" else "\n".join(lines))
+        sys.stdout.writelines(doc() if doc and args.format == "json" else ["\n".join(lines)])
+        sys.stdout.write("\n")
         return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -10,9 +10,12 @@ their long-run shape is a power law with exponent approaching 2.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
 
 from .core import parse_natural, validate_base, validate_natural
 from .residues import EmpiricalFrequencies
@@ -68,6 +71,13 @@ class DividingDynamics:
             return self.level
         return max(self.start - self.slope * t, 0)
 
+    def dividing_counts(self, horizon: int) -> Iterable[int]:
+        """d(1) .. d(horizon) from C-level iterators; dividing_at is their oracle."""
+        validate_natural(horizon, "horizon")
+        if self.kind == DECLINE:
+            return islice(chain(range(self.start - self.slope, 0, -self.slope), repeat(0)), horizon)
+        return range(1, horizon + 1) if self.kind == LINEAR else repeat(self.level, horizon)
+
     def describe(self) -> str:
         values = ",".join(str(getattr(self, name)) for name in _PARAMETERS[self.kind])
         return f"{self.kind}:{values}" if values else self.kind
@@ -101,7 +111,7 @@ class GrowthTrace:
     @property
     def dividing(self) -> tuple[int, ...]:
         """d(1) .. d(T), recomputed from the dynamics on each read."""
-        return tuple(map(self.dynamics.dividing_at, range(1, self.horizon + 1)))
+        return tuple(self.dynamics.dividing_counts(self.horizon))
 
     def total_at(self, t: int) -> int:
         validate_natural(t, "t")
@@ -122,7 +132,7 @@ def simulate(dynamics: DividingDynamics, horizon: int, initial_total: int = 0) -
     """Run the dynamics for ``horizon`` steps, accumulating totals exactly."""
     validate_natural(horizon, "horizon", 1)
     validate_natural(initial_total, "initial_total")
-    running = accumulate(map(dynamics.dividing_at, range(1, horizon + 1)), initial=initial_total)
+    running = accumulate(dynamics.dividing_counts(horizon), initial=initial_total)
     return GrowthTrace(dynamics, initial_total, tuple(islice(running, 1, None)))
 
 
@@ -146,20 +156,19 @@ def fit_power_law(trace: GrowthTrace, window: tuple[int, int] | None = None) -> 
         raise ValueError(f"window [{lo}, {hi}] not within [1, {trace.horizon}]")
     if hi - lo < 1:
         raise ValueError("window must contain at least two points")
-    ts = range(lo, hi + 1)
-    for t in ts:
-        if trace.total[t - 1] <= 0:
-            raise ValueError(f"total at t={t} is not positive; cannot take its log")
-    xs = [math.log(t) for t in ts]
-    ys = [math.log(trace.total[t - 1]) for t in ts]
+    totals = trace.total[lo - 1 : hi]
+    if min(totals) <= 0:
+        t = next(t for t, value in enumerate(totals, lo) if value <= 0)
+        raise ValueError(f"total at t={t} is not positive; cannot take its log")
+    xs = array("d", map(math.log, range(lo, hi + 1)))
+    ys = array("d", map(math.log, totals))
     slope, intercept = statistics.linear_regression(xs, ys)
-    residual = math.sqrt(
-        math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / len(xs)
-    )
+    squares = ((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    residual = math.sqrt(math.fsum(squares) / len(xs))
     return PowerLawFit(exponent=slope, offset=intercept, window=(lo, hi), residual=residual)
 
 
 def digit_histogram(trace: GrowthTrace, base: int) -> EmpiricalFrequencies:
     """Units-digit counts (base L) of the totals N(1) .. N(T)."""
     validate_base(base)
-    return EmpiricalFrequencies.tally(base, (value % base for value in trace.total))
+    return EmpiricalFrequencies.tally(base, map(operator.mod, trace.total, repeat(base)))

@@ -3,13 +3,15 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tridigits.cli import main
+from tridigits import digit_histogram, fit_power_law, parse_dynamics, simulate
+from tridigits.cli import _SLICE, main
 
 
 def run_cli(capsys, *argv):
@@ -314,6 +316,78 @@ def test_simulate_prints_without_materialising_dividing(capsys, monkeypatch, fmt
 
     monkeypatch.setattr("tridigits.growth.GrowthTrace.dividing", property(refuse))
     assert run_cli(capsys, *argv) == expected
+
+
+def whole_simulate_document(spec, steps, initial, base):
+    """simulate --format json as one json.dumps of the whole document, totals as strings."""
+    dynamics = parse_dynamics(spec)
+    trace = simulate(dynamics, steps, initial)
+    doc = {"dynamics": dynamics.describe(), "steps": steps, "initial": initial,
+           "total": [str(v) for v in trace.total]}
+    try:
+        fit = fit_power_law(trace)
+    except ValueError:
+        doc["fit"] = None
+    else:
+        doc["fit"] = {"exponent": fit.exponent, "offset": fit.offset, "residual": fit.residual,
+                      "window": list(fit.window)}
+    if base is not None:
+        counts = digit_histogram(trace, base).counts
+        rows = [{"digit": d, "count": counts[d]} for d in range(base)]
+        doc["histogram"] = {"base": base, "counts": rows}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# steps around the slice size, where the totals array is cut into parts
+_SLICE_STEPS = [1, 2, 3, _SLICE - 1, _SLICE, _SLICE + 1, _SLICE + 2, 2 * _SLICE, 2 * _SLICE + 1]
+
+
+@pytest.mark.parametrize(
+    "spec, steps, initial, base",
+    [
+        (spec, steps, initial, base)
+        for spec in ("linear", "constant:7", "decline:9000,1")
+        for steps in _SLICE_STEPS
+        for initial, base in ((0, None), (5, 10))
+    ]
+    + [
+        ("decline:1,1", 5, 0, None),  # every total is 0: fit unavailable
+        ("decline:1,1", 5, 0, 2),
+        ("decline:1,1", 1, 0, None),  # one step: window too short
+        ("decline:1,1", 3, 4, 256),
+        ("constant:" + "9" * 500, 30, 10**60, 7),
+    ],
+)
+def test_simulate_json_equals_one_dump_of_the_document(capsys, spec, steps, initial, base):
+    argv = ["simulate", "--dynamics", spec, "--steps", str(steps), "--initial", str(initial)]
+    argv += [] if base is None else ["--base", str(base)]
+    assert run_cli(capsys, *argv, "--format", "json") == (
+        0, whole_simulate_document(spec, steps, initial, base), ""
+    )
+
+
+def test_simulate_json_holds_about_its_output_in_memory():
+    # the totals' text is written in slices: the JSON run may hold its
+    # output (in the StringIO) but not a second copy of it or a list of
+    # one string per total
+    argv = ["simulate", "--dynamics", "linear", "--steps", "50000"]
+    _run_quietly(argv)  # build the cached parser outside the measurement
+
+    def peak(*extra):
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                assert main([*argv, *extra]) == 0
+            traced_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return traced_peak, len(out.getvalue())
+
+    table_peak, _ = peak()
+    json_peak, size = peak("--format", "json")
+    assert size > 800_000
+    assert json_peak - table_peak < 2 * size
 
 
 def test_simulate_fit_unavailable_is_not_an_error(capsys):

@@ -253,6 +253,10 @@ LINEAR_TRACE = simulate(DividingDynamics.linear(), 20)
         pytest.param(lambda: DividingDynamics.constant(1.5), TypeError, id="constant"),
         pytest.param(lambda: DividingDynamics.decline(3.5, 1), TypeError, id="decline"),
         pytest.param(lambda: DividingDynamics("linear", level=5), ValueError, id="linear_level"),
+        pytest.param(lambda: DividingDynamics.linear().dividing_counts(True), TypeError,
+                     id="dividing_counts_bool"),
+        pytest.param(lambda: DividingDynamics.constant(2).dividing_counts(-1), ValueError,
+                     id="dividing_counts_negative"),
         # a cached window for 2 must not answer for 2.0 or True; an untyped
         # cache keys keyword calls by value, so base=2.0 would hit base=2
         pytest.param(lambda: (fundamental_window(2), fundamental_window(2.0)), TypeError,

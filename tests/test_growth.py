@@ -121,6 +121,57 @@ def test_trace_stores_only_its_totals():
     assert (trace.horizon, trace.dividing) == (6, (4, 3, 2, 1, 0, 0))
 
 
+def naive_dividing(dynamics, horizon):
+    return [dynamics.dividing_at(t) for t in range(1, horizon + 1)]
+
+
+@given(
+    dynamics=st.one_of(
+        dynamics_strategy,
+        # start a multiple of slope: the count reaches 0 exactly at t = k
+        st.builds(
+            lambda k, slope: DividingDynamics.decline(k * slope, slope),
+            st.integers(min_value=1, max_value=60),
+            st.integers(min_value=1, max_value=9),
+        ),
+        # starts of 400+ digits, with slopes that reach 0 within the horizon or not
+        st.builds(
+            DividingDynamics.decline,
+            st.integers(min_value=10**400, max_value=10**401),
+            st.one_of(
+                st.integers(min_value=1, max_value=9),
+                st.integers(min_value=10**398, max_value=10**400),
+            ),
+        ),
+    ),
+    horizon=st.integers(min_value=0, max_value=400),
+)
+def test_dividing_counts_match_dividing_at(dynamics, horizon):
+    assert list(dynamics.dividing_counts(horizon)) == naive_dividing(dynamics, horizon)
+
+
+@pytest.mark.parametrize(
+    "dynamics, horizon",
+    [
+        (DividingDynamics.decline(3, 5), 4),  # start < slope: nothing ever divides
+        (DividingDynamics.decline(5, 5), 3),  # start == slope
+        (DividingDynamics.decline(12, 4), 3),  # last step of the decline is d = 0
+        (DividingDynamics.decline(12, 4), 2),  # horizon ends just before the zero point
+        (DividingDynamics.decline(7, 2), 1000),  # horizon far past the zero point
+        # a 421-digit start whose count is last positive at t = 100
+        (DividingDynamics.decline(10**420 + 3, 10**418), 250),
+        (DividingDynamics.constant(10**400), 5),
+        (DividingDynamics.linear(), 0),
+        (DividingDynamics.constant(3), 0),
+        (DividingDynamics.decline(9, 1), 0),
+    ],
+)
+def test_dividing_counts_edges(dynamics, horizon):
+    counts = list(dynamics.dividing_counts(horizon))
+    assert counts == naive_dividing(dynamics, horizon)
+    assert len(counts) == horizon and all(d >= 0 for d in counts)
+
+
 def normal_equations_fit(trace, lo, hi):
     """Means, sxx and sxy by hand: the arithmetic fit_power_law replaced."""
     xs = [math.log(t) for t in range(lo, hi + 1)]
@@ -195,6 +246,16 @@ def test_fit_rejects_nonpositive_totals():
     assert trace.total == (0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         fit_power_law(trace, (1, 5))
+
+
+def test_fit_names_the_first_nonpositive_total_in_the_window():
+    # hand-built: only a 0 (t=4) and a later, smaller -2 (t=6) are not positive
+    trace = GrowthTrace(DividingDynamics.linear(), 0, (1, 3, 6, 0, 15, -2, 28, 36))
+    with pytest.raises(ValueError, match=r"^total at t=4 is not positive; cannot take its log$"):
+        fit_power_law(trace, (2, 8))
+    with pytest.raises(ValueError, match=r"^total at t=6 is not positive"):
+        fit_power_law(trace, (5, 8))
+    assert fit_power_law(trace, (7, 8)).window == (7, 8)
 
 
 def test_histogram_linear_base10_gaps():
