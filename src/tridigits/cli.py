@@ -27,13 +27,13 @@ _Output = tuple[list[str], Callable[[], Iterable[str]] | None]
 _SLICE = 4096  # simulate's JSON totals are converted to text this many at a time
 
 
-def _simulate_json(head: dict, totals: tuple[int, ...], rest: dict) -> Iterator[str]:
-    """json.dumps({**head, "total": list(map(str, totals)), **rest}, indent=2), in parts."""
-    last = '"\n  ],\n' + json.dumps(rest, indent=2)[2:]  # dumped before any part is written
-    yield json.dumps(head, indent=2)[:-2] + f',\n  "total": [\n    "{totals[0]}'
+def _simulate_json(doc: dict, totals: tuple[int, ...]) -> Iterator[str]:
+    """json.dumps({**doc, "total": list(map(str, totals))}, indent=2), in parts."""
+    head, tail = json.dumps(doc, indent=2).split('"total": null', 1)  # before any part is written
+    yield f'{head}"total": [\n    "{totals[0]}'
     for i in range(1, len(totals), _SLICE):
         yield '",\n    "'.join(("", *map(str, totals[i : i + _SLICE])))
-    yield last
+    yield '"\n  ]' + tail
 
 
 def _frac(f: Fraction) -> str:
@@ -92,11 +92,8 @@ def cmd_residues(args: argparse.Namespace) -> _Output:
             for d, f in profile.frequency.items()
         ],
     }
-    lines = [
-        f"base = {doc['base']}",
-        f"period = {doc['period']}",
-        f"{'digit':>5}  {'exact':>7}  approx",
-    ]
+    lines = [f"{name} = {doc[name]}" for name in ("base", "period")]
+    lines.append(f"{'digit':>5}  {'exact':>7}  approx")
     lines += [f"{r['digit']:>5}  {r['exact']:>7}  {r['approx']:.6f}" for r in doc["frequencies"]]
     lines.append(f"reachable: {_digit_set(doc['reachable'])}")
     lines.append(f"missing: {_digit_set(profile.missing_digits)}")
@@ -138,11 +135,8 @@ def cmd_freq(args: argparse.Namespace) -> _Output:
         "digits": rows,
         "max_deviation": max(r["deviation"] for r in rows),
     }
-    lines = [
-        f"base = {doc['base']}",
-        f"count = {doc['count']}",
-        f"{'digit':>5}  {'count':>9}  proportion  {'exact':>7}  {'approx':>8}  deviation",
-    ]
+    lines = [f"{name} = {doc[name]}" for name in ("base", "count")]
+    lines.append(f"{'digit':>5}  {'count':>9}  proportion  {'exact':>7}  {'approx':>8}  deviation")
     lines += [
         f"{r['digit']:>5}  {r['count']:>9}  {r['proportion']:>10.6f}  "
         f"{r['exact']:>7}  {r['approx']:>8.6f}  {r['deviation']:.6f}"
@@ -157,9 +151,10 @@ def cmd_simulate(args: argparse.Namespace) -> _Output:
     if args.base is not None:
         validate_base(args.base)  # before the trace, which may be long
     trace = simulate(dynamics, args.steps, args.initial)
-    # The document except its totals, which only --format json converts.
-    head = {"dynamics": dynamics.describe(), "steps": trace.horizon, "initial": trace.initial_total}
-    lines = [f"{name} = {value}" for name, value in head.items()]
+    # The whole document in order; its totals stay None, as only --format json converts them.
+    doc = {"dynamics": dynamics.describe(), "steps": trace.horizon, "initial": trace.initial_total,
+           "total": None, "fit": None}
+    lines = [f"{name} = {doc[name]}" for name in ("dynamics", "steps", "initial")]
     lines += [
         f"dividing = {_seq_line(dynamics.dividing_at, trace.horizon)}",
         f"totals = {_seq_line(trace.total_at, trace.horizon)}",
@@ -168,20 +163,19 @@ def cmd_simulate(args: argparse.Namespace) -> _Output:
     try:
         fit = fit_power_law(trace)
     except ValueError as exc:
-        rest = {"fit": None}
         lines.append(f"fit = unavailable ({exc})")
     else:
-        rest = {"fit": {"exponent": fit.exponent, "offset": fit.offset, "residual": fit.residual}}
+        doc["fit"] = {"exponent": fit.exponent, "offset": fit.offset, "residual": fit.residual,
+                      "window": list(fit.window)}
         lines.append("fit window = [{}, {}]".format(*fit.window))
-        lines += [f"fit {name} = {value:.6f}" for name, value in rest["fit"].items()]
-        rest["fit"]["window"] = list(fit.window)  # last in the document, first in the table
+        lines += [f"fit {name} = {doc['fit'][name]:.6f}" for name in ("exponent", "offset", "residual")]
     if args.base is not None:
         histogram = digit_histogram(trace, args.base)
         counts = [{"digit": d, "count": histogram.counts[d]} for d in range(histogram.base)]
-        rest["histogram"] = {"base": histogram.base, "counts": counts}
+        doc["histogram"] = {"base": histogram.base, "counts": counts}
         lines += [f"units digit counts (base {histogram.base}):", f"{'digit':>5}  count"]
         lines += [f"{r['digit']:>5}  {r['count']}" for r in counts]
-    return lines, lambda: _simulate_json(head, trace.total, rest)
+    return lines, lambda: _simulate_json(doc, trace.total)
 
 
 @functools.cache  # one parser per process: argparse keeps no state between parses
@@ -222,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Lift the int<->str conversion cap (Python 3.11+) for this call only,
-    # so decimal input of unbounded length is accepted and huge values print.
+    # Lift the int<->str conversion cap for this call only, so decimal input
+    # of unbounded length is accepted and huge values print. The cap exists
+    # from Python 3.10.7 and 3.11; earlier 3.10 releases lack it, hence hasattr.
     capped = hasattr(sys, "set_int_max_str_digits")
     if capped:
         old_cap = sys.get_int_max_str_digits()
@@ -254,7 +249,3 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if capped:
             sys.set_int_max_str_digits(old_cap)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

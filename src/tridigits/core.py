@@ -8,6 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = [
+    "MIN_BASE", "MAX_BASE", "DigitString", "tri_exact", "tri_mod", "to_digits", "from_digits",
+    "parse_natural", "validate_base", "validate_natural",
+]
+
 MIN_BASE = 2
 MAX_BASE = 256
 

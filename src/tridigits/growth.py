@@ -20,6 +20,11 @@ from itertools import accumulate, chain, islice, repeat
 from .core import parse_natural, validate_base, validate_natural
 from .residues import EmpiricalFrequencies
 
+__all__ = [
+    "DividingDynamics", "GrowthTrace", "PowerLawFit", "simulate", "fit_power_law",
+    "digit_histogram", "default_window", "parse_dynamics",
+]
+
 LINEAR = "linear"
 CONSTANT = "constant"
 DECLINE = "decline"

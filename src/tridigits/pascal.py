@@ -9,6 +9,8 @@ from typing import Iterator
 
 from .core import validate_natural
 
+__all__ = ["PascalRow", "pascal_row", "iter_rows", "quadratic_diagonal"]
+
 
 @dataclass(frozen=True)
 class PascalRow:

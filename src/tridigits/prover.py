@@ -11,8 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import tri_mod, validate_natural
+from .core import tri_mod, validate_base, validate_natural
 from .residues import fundamental_window
+
+__all__ = [
+    "CongruenceCase", "ProofTranscript", "enumerate_cases", "verify_case", "render_transcript",
+    "PARITY_ANY", "PARITY_EVEN", "PARITY_ODD",
+]
 
 PARITY_ANY = "any"
 PARITY_EVEN = "even"
@@ -69,13 +74,20 @@ def enumerate_cases(base: int) -> ProofTranscript:
     )
 
 
+def _parity(case: CongruenceCase) -> tuple[str, int, int]:
+    """The case's row of _PARITY; ValueError for an unknown parity."""
+    if case.k_parity not in _PARITY:
+        raise ValueError(f"unknown parity {case.k_parity!r}")
+    return _PARITY[case.k_parity]
+
+
 def verify_case(case: CongruenceCase, k_limit: int) -> bool:
     """Check the fact against every admissible k with 0 <= k <= k_limit."""
     validate_natural(k_limit, "k_limit", 1)
-    if case.k_parity not in _PARITY:
-        raise ValueError(f"unknown parity {case.k_parity!r}")
-    _, first, step = _PARITY[case.k_parity]
-    base, i, j = case.base, case.input_digit, case.output_digit
+    _, first, step = _parity(case)
+    base, i, j = validate_base(case.base), case.input_digit, case.output_digit
+    if validate_natural(i, "input_digit") >= base or validate_natural(j, "output_digit") >= base:
+        raise ValueError(f"digits {i} and {j} must be below the base {base}")
     return all(tri_mod(base * k + i, base) == j for k in range(first, k_limit + 1, step))
 
 
@@ -88,7 +100,7 @@ def render_transcript(transcript: ProofTranscript) -> str:
     base = transcript.base
     lines = [f"base={base}"]
     for c in transcript.cases:
-        tag = _PARITY[c.k_parity][0]
+        tag = _parity(c)[0]
         lines.append(f"S_{{{base}k+{c.input_digit}}} == {c.output_digit} (mod {base}) [{tag}]")
     missing = ",".join(str(d) for d in transcript.derived_missing)
     lines.append("missing: {" + missing + "}")

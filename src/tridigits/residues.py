@@ -16,6 +16,11 @@ from typing import Iterable
 
 from .core import MIN_BASE, tri_mod, validate_base, validate_natural
 
+__all__ = [
+    "ResidueProfile", "EmpiricalFrequencies", "residue_profile", "classify_base",
+    "empirical_frequencies", "power_of_two_sweep", "fundamental_window", "DEFAULT_SAMPLE_SIZE",
+]
+
 DEFAULT_SAMPLE_SIZE = 100_000
 
 
@@ -49,8 +54,10 @@ class EmpiricalFrequencies:
 
     @classmethod
     def tally(cls, base: int, digits: Iterable[int]) -> EmpiricalFrequencies:
-        """Count ``digits``, each already reduced mod ``base``."""
+        """Count ``digits``, a non-empty sample each already reduced mod ``base``."""
         counts = Counter(digits)
+        if not counts or not counts.keys() <= set(range(base)):  # each distinct digit once
+            raise ValueError(f"need a non-empty sample of digits in [0, {base})")
         every_digit = {d: counts[d] for d in range(base)}
         return cls(base=base, sample_size=counts.total(), counts=every_digit)
 

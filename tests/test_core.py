@@ -10,6 +10,7 @@ from tridigits import (
     CongruenceCase,
     DigitString,
     DividingDynamics,
+    ProofTranscript,
     empirical_frequencies,
     fit_power_law,
     from_digits,
@@ -17,6 +18,7 @@ from tridigits import (
     parse_natural,
     pascal_row,
     quadratic_diagonal,
+    render_transcript,
     simulate,
     to_digits,
     tri_exact,
@@ -245,6 +247,20 @@ LINEAR_TRACE = simulate(DividingDynamics.linear(), 20)
         pytest.param(lambda: quadratic_diagonal(True), TypeError, id="diagonal"),
         pytest.param(lambda: empirical_frequencies(10, 2.5), TypeError, id="empirical"),
         pytest.param(lambda: verify_case(SOUND_CASE, 1.5), TypeError, id="verify_case"),
+        pytest.param(lambda: verify_case(CongruenceCase(3, 0, PARITY_ANY, 0.0), 5), TypeError,
+                     id="verify_case_float_digit"),
+        pytest.param(lambda: verify_case(CongruenceCase(3, True, PARITY_ANY, 1), 5), TypeError,
+                     id="verify_case_bool_digit"),
+        pytest.param(lambda: verify_case(CongruenceCase(3, 4, PARITY_ANY, 1), 5), ValueError,
+                     id="verify_case_digit_not_below_base"),
+        pytest.param(lambda: verify_case(CongruenceCase(3, 0, PARITY_ANY, 3), 5), ValueError,
+                     id="verify_case_output_not_below_base"),
+        pytest.param(lambda: verify_case(CongruenceCase(3.0, 0, PARITY_ANY, 0), 5), TypeError,
+                     id="verify_case_float_base"),
+        pytest.param(  # the ValueError verify_case raises for it, not a KeyError
+            lambda: render_transcript(
+                ProofTranscript(3, (CongruenceCase(3, 0, "some", 0),), frozenset({0}), (1, 2))),
+            ValueError, id="render_transcript_unknown_parity"),
         pytest.param(lambda: simulate(DividingDynamics.linear(), 2.0), TypeError, id="simulate"),
         pytest.param(lambda: pascal_row(2.0), TypeError, id="pascal_row"),
         pytest.param(lambda: fit_power_law(LINEAR_TRACE, (True, 10)), TypeError, id="fit_window_bool"),

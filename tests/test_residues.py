@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tridigits import (
+    EmpiricalFrequencies,
     classify_base,
     empirical_frequencies,
     fundamental_window,
@@ -135,6 +136,14 @@ def test_empirical_matches_naive_count(base, sample_size):
 def test_empirical_rejects_zero_sample():
     with pytest.raises(ValueError):
         empirical_frequencies(10, 0)
+
+
+# A digit outside range(base) would leave sample_size above the counts' sum,
+# and an empty sample would make proportion() divide by zero.
+@pytest.mark.parametrize("digits", [[11, 3], [3, -1], [10], [2.5], []])
+def test_tally_rejects_stray_digits_and_empty_samples(digits):
+    with pytest.raises(ValueError):
+        EmpiricalFrequencies.tally(10, digits)
 
 
 def test_window_multiples_reproduce_exact_frequencies():
