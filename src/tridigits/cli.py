@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import __version__
 from .core import parse_natural, to_digits, tri_exact, validate_base
 from .growth import digit_histogram, fit_power_law, parse_dynamics, simulate
-from .prover import enumerate_cases, render_transcript
+from .prover import _digit_set, enumerate_cases, render_transcript
 from .residues import DEFAULT_SAMPLE_SIZE, classify_base, empirical_frequencies, residue_profile
 
 # What a subcommand computes: its table lines and a builder of its
@@ -38,10 +38,6 @@ def _simulate_json(doc: dict, totals: tuple[int, ...]) -> Iterator[str]:
 
 def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
-
-
-def _digit_set(digits) -> str:
-    return "{" + ",".join(str(d) for d in digits) + "}"
 
 
 def _seq_line(value_at: Callable[[int], int], count: int) -> str:
@@ -216,19 +212,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Lift the int<->str conversion cap for this call only, so decimal input
-    # of unbounded length is accepted and huge values print. The cap exists
-    # from Python 3.10.7 and 3.11; earlier 3.10 releases lack it, hence hasattr.
-    capped = hasattr(sys, "set_int_max_str_digits")
-    if capped:
-        old_cap = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+    # Lift the int<->str conversion cap for this call only: decimals of any length parse and print.
+    old_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         # By name at call time, so a handler rebound after the parser was built is used.
         lines, doc = globals()[f"cmd_{args.command}"](args)
         sys.stdout.writelines(doc() if doc and args.format == "json" else ["\n".join(lines)])
         sys.stdout.write("\n")
+        sys.stdout.flush()  # here, so a closed pipe is caught below and not at interpreter exit
         return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
@@ -247,5 +240,4 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 0
     finally:
-        if capped:
-            sys.set_int_max_str_digits(old_cap)
+        sys.set_int_max_str_digits(old_cap)

@@ -42,7 +42,9 @@ def validate_natural(value: int, name: str = "n", minimum: int = 0) -> int:
 
 
 def parse_natural(text: str) -> int:
-    """Parse a decimal string (any length) into a non-negative integer."""
+    """Decimal text to an int >= 0; main lifts the int<->str cap, other callers lift it themselves."""
+    if type(text) is not str:
+        raise TypeError(f"text must be a str, got {type(text).__name__}")
     if not text or not text.isascii() or not text.isdigit():
         raise ValueError(f"not a non-negative decimal integer: {text!r}")
     return int(text)
@@ -89,8 +91,7 @@ class DigitString:
         for d in self.digits:
             # type() rather than isinstance(), so a bool is no digit
             if type(d) is not int or not 0 <= d < base:
-                if type(d) is not int:
-                    raise TypeError(f"digit must be an int, got {type(d).__name__}")
+                validate_natural(d, "digit")
                 raise ValueError(f"digit {d} out of range for base {base}")
         if len(self.digits) > 1 and self.digits[0] == 0:
             raise ValueError("leading zero in multi-digit string")

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 
-from .core import parse_natural, validate_base, validate_natural
+from .core import parse_natural, validate_natural
 from .residues import EmpiricalFrequencies
 
 __all__ = [
@@ -90,6 +90,8 @@ class DividingDynamics:
 
 def parse_dynamics(text: str) -> DividingDynamics:
     """Parse ``linear``, ``constant:c``, or ``decline:D,a``."""
+    if type(text) is not str:
+        raise TypeError(f"dynamics spec must be a str, got {type(text).__name__}")
     kind, sep, params = text.partition(":")
     names = _PARAMETERS.get(kind)
     values = params.split(",") if sep else []
@@ -175,5 +177,4 @@ def fit_power_law(trace: GrowthTrace, window: tuple[int, int] | None = None) -> 
 
 def digit_histogram(trace: GrowthTrace, base: int) -> EmpiricalFrequencies:
     """Units-digit counts (base L) of the totals N(1) .. N(T)."""
-    validate_base(base)
     return EmpiricalFrequencies.tally(base, map(operator.mod, trace.total, repeat(base)))

@@ -74,6 +74,10 @@ def enumerate_cases(base: int) -> ProofTranscript:
     )
 
 
+def _digit_set(digits) -> str:
+    return "{" + ",".join(map(str, digits)) + "}"
+
+
 def _parity(case: CongruenceCase) -> tuple[str, int, int]:
     """The case's row of _PARITY; ValueError for an unknown parity."""
     if case.k_parity not in _PARITY:
@@ -102,6 +106,5 @@ def render_transcript(transcript: ProofTranscript) -> str:
     for c in transcript.cases:
         tag = _parity(c)[0]
         lines.append(f"S_{{{base}k+{c.input_digit}}} == {c.output_digit} (mod {base}) [{tag}]")
-    missing = ",".join(str(d) for d in transcript.derived_missing)
-    lines.append("missing: {" + missing + "}")
+    lines.append(f"missing: {_digit_set(transcript.derived_missing)}")
     return "\n".join(lines) + "\n"

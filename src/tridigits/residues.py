@@ -55,6 +55,7 @@ class EmpiricalFrequencies:
     @classmethod
     def tally(cls, base: int, digits: Iterable[int]) -> EmpiricalFrequencies:
         """Count ``digits``, a non-empty sample each already reduced mod ``base``."""
+        validate_base(base)  # before the sample, which may be a lazy iterator, is read
         counts = Counter(digits)
         if not counts or not counts.keys() <= set(range(base)):  # each distinct digit once
             raise ValueError(f"need a non-empty sample of digits in [0, {base})")
@@ -100,7 +101,7 @@ def empirical_frequencies(base: int, sample_size: int = DEFAULT_SAMPLE_SIZE) -> 
 
     Counts n in [1, sample_size], each contributing tri_mod(n, base).
     """
-    validate_base(base)
+    validate_base(base)  # before sample_size, so a bad base is the error reported
     validate_natural(sample_size, "sample_size", 1)
     return EmpiricalFrequencies.tally(base, (tri_mod(n, base) for n in range(1, sample_size + 1)))
 

@@ -50,7 +50,6 @@ def test_tri_huge_index(capsys):
     assert "units digit = 0" in out
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str cap")
 def test_tri_lifts_int_str_cap_only_for_the_call(capsys):
     old = sys.get_int_max_str_digits()
     default = sys.int_info.default_max_str_digits
@@ -589,6 +588,11 @@ def test_module_entry_point_runs():
     assert result.stderr == ""
 
 
+# Buffered stdout, as in a plain shell: output shorter than the buffer is
+# written only when it is flushed.
+BUFFERED_ENV = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+
+
 def test_closed_stdout_exits_quietly():
     # the JSON document is far larger than a pipe buffer, so the write
     # is still blocked when the reader goes away after one line
@@ -597,7 +601,7 @@ def test_closed_stdout_exits_quietly():
          "--steps", "200000", "--format", "json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=SRC_ENV,
+        env=BUFFERED_ENV,
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
@@ -605,3 +609,22 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["residues", "--base", "10"],
+    ["tri", "13", "--base", "3"],
+    ["prove", "--base", "30"],
+    ["classify", "--bases", "2..40"],
+])
+def test_short_output_into_a_closed_pipe_exits_quietly(argv):
+    # the output fits in stdout's buffer, so nothing is written before
+    # main flushes; the reader is gone before the child starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "tridigits", *argv], stdout=write_end,
+                                stderr=subprocess.PIPE, env=BUFFERED_ENV, check=False, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, b"")

@@ -11,10 +11,12 @@ from tridigits import (
     DigitString,
     DividingDynamics,
     ProofTranscript,
+    digit_histogram,
     empirical_frequencies,
     fit_power_law,
     from_digits,
     fundamental_window,
+    parse_dynamics,
     parse_natural,
     pascal_row,
     quadratic_diagonal,
@@ -129,10 +131,7 @@ def test_to_digits_matches_naive_loop_at_split_boundaries(base):
 
 @pytest.fixture
 def no_int_str_cap():
-    """Lift the int<->str cap (Python 3.11+) for one test."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+    """Lift the int<->str cap for one test."""
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -174,6 +173,15 @@ def test_digit_out_of_range_rejected():
 def test_leading_zero_rejected():
     with pytest.raises(ValueError):
         DigitString((0, 5), 10)
+
+
+def test_digit_type_and_sign_errors_come_from_validate_natural():
+    with pytest.raises(TypeError, match=r"^digit must be an int, got bool$"):
+        DigitString((True,), 2)
+    with pytest.raises(TypeError, match=r"^digit must be an int, got float$"):
+        DigitString((1.0,), 2)
+    with pytest.raises(ValueError, match=r"^digit must be >= 0, got -1$"):
+        DigitString((-1,), 10)
 
 
 def test_empty_digit_string_rejected():
@@ -246,6 +254,7 @@ LINEAR_TRACE = simulate(DividingDynamics.linear(), 20)
         pytest.param(lambda: DigitString((True, False), 2), TypeError, id="bool_digits"),
         pytest.param(lambda: quadratic_diagonal(True), TypeError, id="diagonal"),
         pytest.param(lambda: empirical_frequencies(10, 2.5), TypeError, id="empirical"),
+        pytest.param(lambda: digit_histogram(LINEAR_TRACE, 300), ValueError, id="histogram_base_300"),
         pytest.param(lambda: verify_case(SOUND_CASE, 1.5), TypeError, id="verify_case"),
         pytest.param(lambda: verify_case(CongruenceCase(3, 0, PARITY_ANY, 0.0), 5), TypeError,
                      id="verify_case_float_digit"),
@@ -261,6 +270,9 @@ LINEAR_TRACE = simulate(DividingDynamics.linear(), 20)
             lambda: render_transcript(
                 ProofTranscript(3, (CongruenceCase(3, 0, "some", 0),), frozenset({0}), (1, 2))),
             ValueError, id="render_transcript_unknown_parity"),
+        pytest.param(lambda: parse_natural(5), TypeError, id="parse_natural_int"),
+        pytest.param(lambda: parse_natural(b"5"), TypeError, id="parse_natural_bytes"),
+        pytest.param(lambda: parse_dynamics(5), TypeError, id="parse_dynamics_int"),
         pytest.param(lambda: simulate(DividingDynamics.linear(), 2.0), TypeError, id="simulate"),
         pytest.param(lambda: pascal_row(2.0), TypeError, id="pascal_row"),
         pytest.param(lambda: fit_power_law(LINEAR_TRACE, (True, 10)), TypeError, id="fit_window_bool"),

@@ -146,6 +146,17 @@ def test_tally_rejects_stray_digits_and_empty_samples(digits):
         EmpiricalFrequencies.tally(10, digits)
 
 
+def _unread_sample():
+    raise AssertionError("sample read before the base was checked")
+    yield 0
+
+
+@pytest.mark.parametrize("base, error", [(300, ValueError), (True, TypeError), (2.0, TypeError)])
+def test_tally_checks_its_base_before_reading_the_sample(base, error):
+    with pytest.raises(error, match="^base must be"):
+        EmpiricalFrequencies.tally(base, _unread_sample())
+
+
 def test_window_multiples_reproduce_exact_frequencies():
     for base in range(2, 65):
         profile = residue_profile(base)
