@@ -124,29 +124,16 @@ def _leaf_digits(value: int, base: int, width: int) -> list[int]:
     return digits
 
 
-def _split_digits(value: int, base: int, powers: list[int], k: int, width: int, out: list[int]) -> None:
-    """Append the digits of ``value`` < powers[k]**2 to ``out``.
-
-    ``powers[k]`` is base**(64 * 2**k). A non-zero ``width`` pads the
-    digits to the full 64 * 2**(k + 1); zero means no leading zeros.
-    """
-    if k < 0:
-        out.extend(_leaf_digits(value, base, width))
-        return
-    half = _LEAF_DIGITS << k
-    high, low = divmod(value, powers[k])
-    _split_digits(high, base, powers, k - 1, half if width else 0, out)
-    _split_digits(low, base, powers, k - 1, half if width or high else 0, out)
-
-
 def to_digits(value: int, base: int) -> DigitString:
     """Positional base-L expansion of a non-negative integer.
 
-    Large values are split by the powers base**(64 * 2**k) and each half
-    converted on its own (Knuth, TAOCP vol. 2, 4.4). With schoolbook
-    division that costs about two divisions of the value by its square
-    root, not one division of the whole value per digit; with faster
-    division it is subquadratic.
+    Large values are split level by level (Knuth, TAOCP vol. 2, 4.4):
+    every chunk is divided by the largest power base**(64 * 2**k), then
+    every part by the next smaller one, until each chunk is below
+    base**64 and is expanded on its own. With schoolbook division that
+    costs about two divisions of the value by its square root, not one
+    division of the whole value per digit; with faster division it is
+    subquadratic.
     """
     validate_natural(value, "value")
     validate_base(base)
@@ -157,8 +144,13 @@ def to_digits(value: int, base: int) -> DigitString:
     bits = value.bit_length()
     while 2 * powers[-1].bit_length() - 1 <= bits and (square := powers[-1] ** 2) <= value:
         powers.append(square)
+    chunks = [value]
+    for power in reversed(powers):
+        chunks = [part for chunk in chunks for part in divmod(chunk, power)]
+    # Leading zero chunks add no digits; after the first digit, every chunk is padded in full.
     digits: list[int] = []
-    _split_digits(value, base, powers, len(powers) - 1, 0, digits)
+    for chunk in chunks:
+        digits += _leaf_digits(chunk, base, _LEAF_DIGITS if digits else 0)
     return DigitString(tuple(digits), base)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tridigits import digit_histogram, fit_power_law, parse_dynamics, simulate
-from tridigits.cli import _SLICE, main
+from tridigits.cli import _MAX_STEPS, _SLICE, main
 
 
 def run_cli(capsys, *argv):
@@ -303,6 +303,38 @@ def test_simulate_rejects_base_before_simulating(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: base must be in [2, 256], got 300\n"
+
+
+class _Simulated(Exception):
+    pass
+
+
+@pytest.mark.parametrize("steps", [_MAX_STEPS + 1, 10**18])
+def test_simulate_refuses_steps_over_the_limit_before_simulating(capsys, monkeypatch, steps):
+    def refuse(*args):
+        raise AssertionError("simulated over the --steps limit")
+
+    monkeypatch.setattr("tridigits.cli.simulate", refuse)
+    for fmt in ("table", "json"):
+        code, out, err = run_cli(
+            capsys, "simulate", "--dynamics", "linear", "--steps", str(steps), "--format", fmt
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: steps must be <= {_MAX_STEPS}, got {steps}\n"
+
+
+def test_simulate_runs_at_the_steps_limit(monkeypatch):
+    # stops at the call, so the limit is reached without building a trace that long
+    horizons = []
+
+    def record(dynamics, horizon, initial):
+        horizons.append(horizon)
+        raise _Simulated
+
+    monkeypatch.setattr("tridigits.cli.simulate", record)
+    with pytest.raises(_Simulated):
+        main(["simulate", "--dynamics", "linear", "--steps", str(_MAX_STEPS), "--base", "10"])
+    assert horizons == [_MAX_STEPS]
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

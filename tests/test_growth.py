@@ -9,6 +9,7 @@ from tridigits import (
     DividingDynamics,
     GrowthTrace,
     digit_histogram,
+    empirical_frequencies,
     fit_power_law,
     parse_dynamics,
     residue_profile,
@@ -323,3 +324,11 @@ def test_dynamics_validation():
         simulate(DividingDynamics.linear(), 0)
     with pytest.raises(ValueError):
         simulate(DividingDynamics.linear(), 5, initial_total=-1)
+
+
+@pytest.mark.parametrize("base", [7, 10, 64, 255])
+@pytest.mark.parametrize("horizon", [1, 17, 4097])
+def test_linear_histogram_counts_the_first_triangular_numbers(base, horizon):
+    # linear dynamics from 0 total T(1), ..., T(horizon), the sample empirical_frequencies counts
+    trace = simulate(DividingDynamics.linear(), horizon)
+    assert digit_histogram(trace, base).counts == empirical_frequencies(base, horizon).counts

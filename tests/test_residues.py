@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -216,3 +217,67 @@ def test_profile_structure_property(base):
     for f in profile.frequency.values():
         assert window % f.denominator == 0
     assert sum(profile.frequency.values()) == 1
+
+
+# Oracles from number theory that share no code with the residue window.
+# 8*T(n) + 1 = (2n + 1)**2, so mod an odd prime power q a digit j is a units
+# digit exactly when 8j + 1 is a square mod q, while mod 2**e every digit is
+# reached. T mod q depends on n mod q and T mod 2**e on n mod 2**(e + 1), so
+# by the Chinese remainder theorem the prime powers of L combine independently.
+ALL_BASES = range(2, 257)
+
+
+def prime_powers(n):
+    """{p: e} with n == prod(p**e), by trial division."""
+    factors = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
+def squares_mod(q):
+    return {x * x % q for x in range(q)}
+
+
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_reachable_count_is_the_product_of_square_counts(base):
+    expected = math.prod(
+        2**e if p == 2 else len(squares_mod(p**e)) for p, e in prime_powers(base).items()
+    )
+    assert len(residue_profile(base).reachable) == expected
+
+
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_reachable_mod_odd_prime_powers_is_the_square_test(base):
+    reachable = residue_profile(base).reachable
+    for p, e in prime_powers(base).items():
+        if p != 2:
+            q = p**e
+            squares = squares_mod(q)
+            assert {d % q for d in reachable} == {j for j in range(q) if (8 * j + 1) % q in squares}
+
+
+@pytest.mark.parametrize("base", ALL_BASES)
+def test_gappy_exactly_when_an_odd_prime_divides_the_base(base):
+    assert residue_profile(base).gappy == (set(prime_powers(base)) != {2})
+
+
+COPRIME_PAIRS = [
+    (a, b) for a in range(2, 17) for b in range(a + 1, 17) if math.gcd(a, b) == 1 and a * b <= 256
+]
+
+
+def test_there_are_64_coprime_pairs():
+    assert len(COPRIME_PAIRS) == 64
+
+
+@pytest.mark.parametrize("a,b", COPRIME_PAIRS)
+def test_frequency_of_a_coprime_product_is_the_product_of_frequencies(a, b):
+    fa, fb, fab = (residue_profile(L).frequency for L in (a, b, a * b))
+    assert all(fab[d] == fa[d % a] * fb[d % b] for d in range(a * b))
