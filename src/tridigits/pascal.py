@@ -1,4 +1,7 @@
-"""Pascal triangle rows and the diagonal of quadratic-term coefficients."""
+"""Pascal triangle rows and the diagonal of quadratic-term coefficients.
+
+``pascal_row`` uses the multiplicative rule; ``iter_rows`` stays additive.
+"""
 
 from __future__ import annotations
 
@@ -22,7 +25,9 @@ def iter_rows() -> Iterator[tuple[int, ...]]:
     """Yield rows (1), (1, 1), (1, 2, 1), ... forever.
 
     Rows are built by the additive recurrence only, so every entry is an
-    exact integer at any depth.
+    exact integer at any depth; reaching row n costs O(n^2) additions.
+    ``quadratic_diagonal`` reads its rows from here, and ``pascal_row``
+    does not, so these rows are an independent check of it.
     """
     row = (1,)
     while True:
@@ -31,9 +36,17 @@ def iter_rows() -> Iterator[tuple[int, ...]]:
 
 
 def pascal_row(n: int) -> PascalRow:
-    """Row n of the triangle: C(n, 0) .. C(n, n)."""
+    """Row n of the triangle: C(n, 0) .. C(n, n), in O(n) big-integer steps.
+
+    The first half follows C(n, k+1) = C(n, k)*(n-k)/(k+1); the division
+    is exact because C(n, k)*(n-k) = C(n, k+1)*(k+1). The second half
+    mirrors the first.
+    """
     validate_natural(n)
-    return PascalRow(index=n, coefficients=next(islice(iter_rows(), n, None)))
+    half = [1]
+    for k in range(n // 2):
+        half.append(half[-1] * (n - k) // (k + 1))
+    return PascalRow(index=n, coefficients=(*half, *reversed(half[:(n + 1) // 2])))
 
 
 def quadratic_diagonal(count: int) -> list[int]:

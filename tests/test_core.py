@@ -275,6 +275,7 @@ LINEAR_TRACE = simulate(DividingDynamics.linear(), 20)
         pytest.param(lambda: parse_dynamics(5), TypeError, id="parse_dynamics_int"),
         pytest.param(lambda: simulate(DividingDynamics.linear(), 2.0), TypeError, id="simulate"),
         pytest.param(lambda: pascal_row(2.0), TypeError, id="pascal_row"),
+        pytest.param(lambda: pascal_row(True), TypeError, id="pascal_row_bool"),
         pytest.param(lambda: fit_power_law(LINEAR_TRACE, (True, 10)), TypeError, id="fit_window_bool"),
         pytest.param(lambda: fit_power_law(LINEAR_TRACE, (1, 10.0)), TypeError, id="fit_window_float"),
         pytest.param(lambda: LINEAR_TRACE.total_at(True), TypeError, id="total_at"),

@@ -3,6 +3,7 @@ from itertools import islice
 
 import pytest
 
+import tridigits.pascal
 from tridigits import iter_rows, pascal_row, quadratic_diagonal, tri_exact
 
 
@@ -32,9 +33,23 @@ def test_row_sums_are_powers_of_two():
         assert sum(coeffs) == 2**n
 
 
-@pytest.mark.parametrize("n", [0, 1, 5, 20, 60])
+@pytest.mark.parametrize("n", [0, 1, 5, 20, 60, 500, 1500, 5000])
 def test_rows_match_binomials(n):
     assert pascal_row(n).coefficients == tuple(math.comb(n, r) for r in range(n + 1))
+
+
+def test_rows_match_additive_rows_up_to_200():
+    # n = 0, 1 and 2 are the edge cases of the mirrored half
+    for n, row in enumerate(islice(iter_rows(), 201)):
+        assert pascal_row(n).coefficients == row
+
+
+def test_row_does_not_build_rows_additively(monkeypatch):
+    def refuse():
+        raise AssertionError("pascal_row read iter_rows")
+
+    monkeypatch.setattr(tridigits.pascal, "iter_rows", refuse)
+    assert pascal_row(1500).coefficients[750] == math.comb(1500, 750)
 
 
 def test_quadratic_diagonal_first_eight():
