@@ -26,7 +26,8 @@ from .residues import DEFAULT_SAMPLE_SIZE, classify_base, empirical_frequencies,
 _Output = tuple[list[str], Callable[[], Iterable[str]] | None]
 _SLICE = 4096  # simulate's JSON totals are converted to text this many at a time
 # simulate's longest horizon. Linear dynamics with --base 10 take 4.0 s (table) or
-# 4.7 s (JSON) and 340 MB at this limit on a 2-CPU host with Python 3.11.
+# 4.7 s (JSON) and 340 MB at this limit on a 2-CPU host with Python 3.11. Totals
+# wider than 64 bits shorten it in proportion (cmd_simulate).
 _MAX_STEPS = 5_000_000
 
 
@@ -151,6 +152,11 @@ def cmd_simulate(args: argparse.Namespace) -> _Output:
         validate_base(args.base)  # before the trace, which may be long
     if args.steps > _MAX_STEPS:
         raise ValueError(f"steps must be <= {_MAX_STEPS}, got {args.steps}")
+    # A trace holds one total per step, each about as wide as the largest number given.
+    bits = max(64, max(args.initial, dynamics.level, dynamics.start).bit_length())
+    if args.steps * bits > _MAX_STEPS * 64:
+        raise ValueError(f"trace too large: {args.steps} steps of {bits}-bit totals; "
+                         f"steps * max(64, bits) must be <= {_MAX_STEPS * 64}")
     trace = simulate(dynamics, args.steps, args.initial)
     # The whole document in order; its totals stay None, as only --format json converts them.
     doc = {"dynamics": dynamics.describe(), "steps": trace.horizon, "initial": trace.initial_total,

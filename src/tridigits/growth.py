@@ -154,7 +154,9 @@ def fit_power_law(trace: GrowthTrace, window: tuple[int, int] | None = None) -> 
     The slope is the power-law exponent. Every total in the window must
     be positive, and the window needs at least two points for a slope
     to exist. math.log is used directly on the integer totals, so
-    arbitrarily large populations fit without overflow.
+    arbitrarily large populations fit without overflow. A flat window,
+    where every total is the same N, is fitted exactly with no
+    regression: exponent 0, offset log N and residual 0.
     """
     if window is None:
         window = default_window(trace)
@@ -164,13 +166,16 @@ def fit_power_law(trace: GrowthTrace, window: tuple[int, int] | None = None) -> 
     if hi - lo < 1:
         raise ValueError("window must contain at least two points")
     totals = trace.total[lo - 1 : hi]
-    if min(totals) <= 0:
+    low = min(totals)
+    if low <= 0:
         t = next(t for t, value in enumerate(totals, lo) if value <= 0)
         raise ValueError(f"total at t={t} is not positive; cannot take its log")
+    if max(totals) == low:  # N = N0 * t**0 exactly; a regression would round it
+        return PowerLawFit(exponent=0.0, offset=math.log(low), window=(lo, hi), residual=0.0)
     xs = array("d", map(math.log, range(lo, hi + 1)))
     ys = array("d", map(math.log, totals))
     slope, intercept = statistics.linear_regression(xs, ys)
-    squares = ((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    squares = ((r := y - (slope * x + intercept)) * r for x, y in zip(xs, ys))
     residual = math.sqrt(math.fsum(squares) / len(xs))
     return PowerLawFit(exponent=slope, offset=intercept, window=(lo, hi), residual=residual)
 

@@ -337,6 +337,58 @@ def test_simulate_runs_at_the_steps_limit(monkeypatch):
     assert horizons == [_MAX_STEPS]
 
 
+_WIDE = "1" + "0" * 20000  # 10**20000, 66 439 bits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dynamics", "linear", "--initial", _WIDE],
+        ["--dynamics", f"constant:{_WIDE}"],
+        ["--dynamics", f"decline:{_WIDE},1"],
+    ],
+)
+def test_simulate_refuses_wide_totals_before_simulating(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("simulated a trace over the size limit")
+
+    monkeypatch.setattr("tridigits.cli.simulate", refuse)
+    for fmt in ("table", "json"):
+        code, out, err = run_cli(capsys, "simulate", *argv, "--steps", "5000", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: trace too large: 5000 steps of 66439-bit totals; "
+            f"steps * max(64, bits) must be <= {_MAX_STEPS * 64}\n"
+        )
+
+
+def test_simulate_runs_at_the_steps_limit_with_64_bit_totals(monkeypatch):
+    horizons = []
+
+    def record(dynamics, horizon, initial):
+        horizons.append((horizon, initial))
+        raise _Simulated
+
+    monkeypatch.setattr("tridigits.cli.simulate", record)
+    with pytest.raises(_Simulated):
+        main(["simulate", "--dynamics", "linear", "--steps", str(_MAX_STEPS),
+              "--initial", str(2**63 - 1)])
+    assert horizons == [(_MAX_STEPS, 2**63 - 1)]
+
+
+def test_simulate_flat_window_prints_a_zero_exponent(capsys):
+    # decline:6984,10 stops dividing at t=698: the fit window [9631, 19263] is flat
+    argv = ["simulate", "--dynamics", "decline:6984,10", "--steps", "19263", "--initial", "95"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "fit exponent = 0.000000\n" in out
+    assert "fit residual = 0.000000\n" in out
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    fit = json.loads(out)["fit"]
+    assert (fit["exponent"], fit["residual"], fit["window"]) == (0.0, 0.0, [9631, 19263])
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_simulate_prints_without_materialising_dividing(capsys, monkeypatch, fmt):
     argv = ["simulate", "--dynamics", "decline:90,2", "--steps", "60", "--base", "7", "--format", fmt]

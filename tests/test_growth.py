@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import statistics
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from tridigits import (
     DividingDynamics,
     GrowthTrace,
+    PowerLawFit,
     digit_histogram,
     empirical_frequencies,
     fit_power_law,
@@ -257,6 +259,66 @@ def test_fit_names_the_first_nonpositive_total_in_the_window():
     with pytest.raises(ValueError, match=r"^total at t=6 is not positive"):
         fit_power_law(trace, (5, 8))
     assert fit_power_law(trace, (7, 8)).window == (7, 8)
+
+
+def test_flat_window_fits_exactly():
+    # decline:6984,10 stops dividing at t=698, long before the window [9631, 19263]
+    trace = simulate(parse_dynamics("decline:6984,10"), 19263, 95)
+    fit = fit_power_law(trace)
+    n = trace.total[-1]
+    assert fit == PowerLawFit(exponent=0.0, offset=math.log(n), window=(9631, 19263), residual=0.0)
+    assert math.copysign(1.0, fit.exponent) == 1.0  # not -0.0
+
+    hand_built = GrowthTrace(DividingDynamics.linear(), 0, (3, 10**400, 10**400, 10**400))
+    assert fit_power_law(hand_built, (2, 4)) == PowerLawFit(0.0, math.log(10**400), (2, 4), 0.0)
+
+
+@given(
+    start=st.integers(min_value=1, max_value=3000),
+    slope=st.integers(min_value=1, max_value=20),
+    initial=st.integers(min_value=1, max_value=10**6),
+    data=st.data(),
+)
+def test_fit_after_the_decline_ends_is_exact_and_matches_the_normal_equations(
+    start, slope, initial, data
+):
+    last = (start - 1) // slope  # the last step with d(t) > 0; 0 when none has
+    lo = data.draw(st.integers(min_value=max(1, last), max_value=max(1, last) + 300))
+    hi = data.draw(st.integers(min_value=lo + 1, max_value=lo + 2000))
+    trace = simulate(DividingDynamics.decline(start, slope), hi, initial)
+    fit = fit_power_law(trace, (lo, hi))
+    n = trace.total[lo - 1]
+    assert set(trace.total[lo - 1 : hi]) == {n}
+    assert fit == PowerLawFit(exponent=0.0, offset=math.log(n), window=(lo, hi), residual=0.0)
+    for got, want in zip((fit.exponent, fit.offset, fit.residual), normal_equations_fit(trace, lo, hi)):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_flat_window_skips_the_regression(monkeypatch):
+    def refuse(xs, ys):
+        raise AssertionError("regressed a flat window")
+
+    monkeypatch.setattr(statistics, "linear_regression", refuse)
+    trace = simulate(DividingDynamics.decline(50, 7), 100, 3)
+    assert fit_power_law(trace, (8, 100)) == PowerLawFit(0.0, math.log(trace.total[-1]), (8, 100), 0.0)
+
+
+def test_window_with_equal_ends_but_not_flat_is_regressed(monkeypatch):
+    # hand-built and not monotone: the first and last totals agree, the middle one does not
+    calls = []
+    regression = statistics.linear_regression
+
+    def record(xs, ys):
+        calls.append(len(xs))
+        return regression(xs, ys)
+
+    monkeypatch.setattr(statistics, "linear_regression", record)
+    trace = GrowthTrace(DividingDynamics.linear(), 0, (1, 5, 9, 5))
+    fit = fit_power_law(trace, (2, 4))
+    assert calls == [3]
+    assert fit.residual > 0
+    for got, want in zip((fit.exponent, fit.offset, fit.residual), normal_equations_fit(trace, 2, 4)):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_histogram_linear_base10_gaps():
