@@ -69,6 +69,14 @@ def _parse_bases(text: str) -> list[int]:
     return sorted(bases)
 
 
+def _option_natural(text: str) -> int:
+    """An integer option's value by ``parse_natural``, whose message argparse then reports."""
+    try:
+        return parse_natural(text)  # by name at call time, as main finds its handlers
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def cmd_tri(args: argparse.Namespace) -> _Output:
     value = tri_exact(parse_natural(args.n))
     # Convert first: an invalid base fails before the decimal value is built.
@@ -196,26 +204,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tri", help="triangular number for an index n")
     p.add_argument("n", help="index as a decimal string (any length)")
-    p.add_argument("--base", type=int, help="also show base-L digits and units digit")
+    p.add_argument("--base", type=_option_natural, help="also show base-L digits and units digit")
 
     p = sub.add_parser("residues", help="exact units-digit profile of one base")
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_option_natural, required=True)
 
     p = sub.add_parser("classify", help="gappy/non-gappy classification of bases")
     p.add_argument("--bases", required=True, help="e.g. 10, 3..16, or 4,8,16")
 
     p = sub.add_parser("prove", help="case-enumeration proof transcript for one base")
-    p.add_argument("--base", type=int, required=True)
+    p.add_argument("--base", type=_option_natural, required=True)
 
     p = sub.add_parser("freq", help="empirical units-digit counts vs exact frequencies")
-    p.add_argument("--base", type=int, required=True)
-    p.add_argument("--count", type=int, default=DEFAULT_SAMPLE_SIZE)
+    p.add_argument("--base", type=_option_natural, required=True)
+    p.add_argument("--count", type=_option_natural, default=DEFAULT_SAMPLE_SIZE)
 
     p = sub.add_parser("simulate", help="cumulative-sum growth trace and power-law fit")
     p.add_argument("--dynamics", required=True, help="linear | constant:c | decline:D,a")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--base", type=int, help="also show units-digit histogram of totals")
-    p.add_argument("--initial", type=int, default=0, help="starting total (default 0)")
+    p.add_argument("--steps", type=_option_natural, required=True)
+    p.add_argument("--base", type=_option_natural, help="also show units-digit histogram of totals")
+    p.add_argument("--initial", type=_option_natural, default=0, help="starting total (default 0)")
 
     for name in ("residues", "classify", "freq", "simulate"):
         sub.choices[name].add_argument("--format", choices=("table", "json"), default="table")

@@ -97,13 +97,19 @@ def classify_base(base: int) -> ResidueProfile:
 
 
 def empirical_frequencies(base: int, sample_size: int = DEFAULT_SAMPLE_SIZE) -> EmpiricalFrequencies:
-    """Units-digit counts of the first ``sample_size`` triangular numbers.
+    """Units-digit counts tri_mod(n, base) of n in [1, sample_size], in closed form.
 
-    Counts n in [1, sample_size], each contributing tri_mod(n, base).
+    The window of 2*base residues is a whole number of periods, so the
+    counts are those of whole windows plus the window's prefix from n = 1:
+    O(base) work, whatever ``sample_size`` is.
     """
     validate_base(base)  # before sample_size, so a bad base is the error reported
     validate_natural(sample_size, "sample_size", 1)
-    return EmpiricalFrequencies.tally(base, (tri_mod(n, base) for n in range(1, sample_size + 1)))
+    window = fundamental_window(base)
+    whole, rest = divmod(sample_size, len(window))
+    per_window, prefix = Counter(window), Counter(window[1 : rest + 1])
+    counts = {d: whole * per_window[d] + prefix[d] for d in range(base)}
+    return EmpiricalFrequencies(base=base, sample_size=sample_size, counts=counts)
 
 
 def power_of_two_sweep(max_base: int) -> list[tuple[int, bool]]:

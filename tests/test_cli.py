@@ -227,6 +227,36 @@ def test_freq_zero_count_rejected(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_freq_counts_a_huge_sample_exactly(capsys, fmt):
+    code, out, err = run_cli(capsys, "freq", "--base", "10", "--count", str(10**18), "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        counts = {entry["digit"]: entry["count"] for entry in json.loads(out)["digits"]}
+    else:
+        counts = {int(row.split()[0]): int(row.split()[1]) for row in out.splitlines()[3:13]}
+    assert counts == {d: 2 * 10**17 if d in (0, 1, 5, 6) else 10**17 if d in (3, 8) else 0
+                      for d in range(10)}
+
+
+# Integer options follow parse_natural, the one decimal rule: no
+# underscores, signs, spaces or non-ASCII digits.
+@pytest.mark.parametrize("argv", [
+    ["residues", "--base", "1_0"],
+    ["freq", "--base", "10", "--count", "+5_0"],
+    ["prove", "--base", "\u0663"],
+    ["simulate", "--dynamics", "linear", "--steps", " 7"],
+    ["simulate", "--dynamics", "linear", "--steps", "5", "--initial", "-1"],
+    ["tri", "13", "--base", "1e1"],
+])
+def test_option_integers_are_plain_decimals(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    assert line.endswith(f"argument {argv[-2]}: not a non-negative decimal integer: {argv[-1]!r}")
+
+
 def test_simulate_linear_table(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--dynamics", "linear", "--steps", "4")
     assert code == 0

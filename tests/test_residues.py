@@ -134,6 +134,31 @@ def test_empirical_matches_naive_count(base, sample_size):
     assert emp.sample_size == sample_size
 
 
+# The closed-form count splits the sample into whole windows of 2L residues
+# and a prefix: one sample short of a window, a whole window, one past it,
+# and several windows plus a prefix.
+@pytest.mark.parametrize("base", [2, 3, 10, 255, 256])
+@pytest.mark.parametrize("windows, extra", [(1, -1), (1, 0), (1, 1), (5, 7)])
+def test_empirical_matches_naive_count_at_window_boundaries(base, windows, extra):
+    sample_size = windows * 2 * base + extra
+    naive = Counter(tri_exact(n) % base for n in range(1, sample_size + 1))
+    assert empirical_frequencies(base, sample_size).counts == {d: naive[d] for d in range(base)}
+
+
+# A per-sample count could never finish this. The oracle counts n in 1..2L,
+# a whole number of periods, and the last samples themselves, each from the
+# exact triangular number.
+@pytest.mark.parametrize("base", [7, 10, 256])
+def test_empirical_counts_a_googol_of_samples(base):
+    sample_size = 10**100
+    whole, rest = divmod(sample_size, 2 * base)
+    per_window = Counter(tri_exact(n) % base for n in range(1, 2 * base + 1))
+    tail = Counter(tri_exact(n) % base for n in range(sample_size - rest + 1, sample_size + 1))
+    emp = empirical_frequencies(base, sample_size)
+    assert emp.sample_size == sum(emp.counts.values()) == sample_size
+    assert emp.counts == {d: whole * per_window[d] + tail[d] for d in range(base)}
+
+
 def test_empirical_rejects_zero_sample():
     with pytest.raises(ValueError):
         empirical_frequencies(10, 0)
