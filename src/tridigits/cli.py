@@ -5,8 +5,6 @@ ASCII; ``--format json`` emits a single well-formed document instead.
 Exact rationals are always printed as ``p/q`` in lowest terms.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -143,10 +141,11 @@ def cmd_freq(args: argparse.Namespace) -> _Output:
         "digits": rows,
         "max_deviation": max(r["deviation"] for r in rows),
     }
+    width = max(9, len(str(max(empirical.counts.values()))))  # the largest count is the widest
     lines = [f"{name} = {doc[name]}" for name in ("base", "count")]
-    lines.append(f"{'digit':>5}  {'count':>9}  proportion  {'exact':>7}  {'approx':>8}  deviation")
+    lines.append(f"{'digit':>5}  {'count':>{width}}  proportion  {'exact':>7}  {'approx':>8}  deviation")
     lines += [
-        f"{r['digit']:>5}  {r['count']:>9}  {r['proportion']:>10.6f}  "
+        f"{r['digit']:>5}  {r['count']:>{width}}  {r['proportion']:>10.6f}  "
         f"{r['exact']:>7}  {r['approx']:>8.6f}  {r['deviation']:.6f}"
         for r in rows
     ]

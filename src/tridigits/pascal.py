@@ -1,13 +1,13 @@
 """Pascal triangle rows and the diagonal of quadratic-term coefficients.
 
-``pascal_row`` uses the multiplicative rule; ``iter_rows`` stays additive.
+``pascal_row`` is multiplicative, ``quadratic_diagonal`` additive on column 2.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate
 from typing import Iterator
 
 from .core import validate_natural
@@ -26,8 +26,8 @@ def iter_rows() -> Iterator[tuple[int, ...]]:
 
     Rows are built by the additive recurrence only, so every entry is an
     exact integer at any depth; reaching row n costs O(n^2) additions.
-    ``quadratic_diagonal`` reads its rows from here, and ``pascal_row``
-    does not, so these rows are an independent check of it.
+    Neither ``pascal_row`` nor ``quadratic_diagonal`` reads these rows,
+    so they are an independent check of both.
     """
     row = (1,)
     while True:
@@ -50,12 +50,12 @@ def pascal_row(n: int) -> PascalRow:
 
 
 def quadratic_diagonal(count: int) -> list[int]:
-    """C(2,2), C(3,2), ..., C(count+1, 2), read off actual rows.
+    """C(2,2), C(3,2), ..., C(count+1, 2), in ``count`` additions.
 
     These are the coefficients sitting two places into each row from
-    row 2 onward; element t equals the t-th triangular number. The
-    values are extracted from additively built rows, not computed by
-    the closed form, so comparing the two is a real cross-check.
+    row 2 onward; element t equals the t-th triangular number. Pascal's
+    rule on column 2, C(t+1, 2) = C(t, 2) + t, makes them the running
+    sums of 1..count; the closed form t(t+1)/2 is the independent check.
     """
     validate_natural(count, "count", 1)
-    return [row[2] for row in islice(iter_rows(), 2, count + 2)]
+    return list(accumulate(range(1, count + 1)))

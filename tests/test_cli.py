@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -237,6 +238,20 @@ def test_freq_counts_a_huge_sample_exactly(capsys, fmt):
         counts = {int(row.split()[0]): int(row.split()[1]) for row in out.splitlines()[3:13]}
     assert counts == {d: 2 * 10**17 if d in (0, 1, 5, 6) else 10**17 if d in (3, 8) else 0
                       for d in range(10)}
+
+
+def test_freq_rows_align_under_a_wide_count_column(capsys):
+    code, out, _ = run_cli(capsys, "freq", "--base", "10", "--count", str(10**18))
+    assert code == 0
+    header, *rows = out.splitlines()[2:13]
+    assert len(rows) == 10
+    # Every column is right-aligned but the last: a value ends where its
+    # title ends, and the last column starts where its title starts.
+    columns = [m.span() for m in re.finditer(r"\S+", header)]
+    for row in rows:
+        spans = [m.span() for m in re.finditer(r"\S+", row)]
+        assert [end for _, end in spans[:-1]] == [end for _, end in columns[:-1]]
+        assert spans[-1][0] == columns[-1][0]
 
 
 # Integer options follow parse_natural, the one decimal rule: no

@@ -253,6 +253,7 @@ LINEAR_TRACE = simulate(DividingDynamics.linear(), 20)
         pytest.param(lambda: to_digits(True, 2), TypeError, id="to_digits"),
         pytest.param(lambda: DigitString((True, False), 2), TypeError, id="bool_digits"),
         pytest.param(lambda: quadratic_diagonal(True), TypeError, id="diagonal"),
+        pytest.param(lambda: quadratic_diagonal(2.0), TypeError, id="diagonal_float"),
         pytest.param(lambda: empirical_frequencies(10, 2.5), TypeError, id="empirical"),
         pytest.param(lambda: digit_histogram(LINEAR_TRACE, 300), ValueError, id="histogram_base_300"),
         pytest.param(lambda: verify_case(SOUND_CASE, 1.5), TypeError, id="verify_case"),

@@ -64,9 +64,28 @@ def test_quadratic_diagonal_bounds():
 
 
 def test_diagonal_equals_triangular_numbers():
-    # the diagonal comes from additively built rows; the closed form is
-    # the independent route
+    # the diagonal comes from Pascal's rule on column 2; the closed form
+    # is the independent route
     diagonal = quadratic_diagonal(1000)
     assert len(diagonal) == 1000
     for t, value in enumerate(diagonal, start=1):
         assert value == tri_exact(t)
+
+
+def test_diagonal_matches_additive_rows_up_to_200():
+    rows = [row[2] for row in islice(iter_rows(), 2, 202)]
+    for count in range(1, 201):
+        assert quadratic_diagonal(count) == rows[:count]
+
+
+@pytest.mark.parametrize("count", [1500, 5000])
+def test_diagonal_matches_binomials(count):
+    assert quadratic_diagonal(count) == [math.comb(t + 1, 2) for t in range(1, count + 1)]
+
+
+def test_diagonal_does_not_build_rows(monkeypatch):
+    def refuse():
+        raise AssertionError("quadratic_diagonal read iter_rows")
+
+    monkeypatch.setattr(tridigits.pascal, "iter_rows", refuse)
+    assert quadratic_diagonal(1500)[-1] == math.comb(1501, 2)
