@@ -6,6 +6,7 @@ Exact rationals are always printed as ``p/q`` in lowest terms.
 """
 
 import argparse
+import decimal
 import functools
 import json
 import os
@@ -27,6 +28,14 @@ _SLICE = 4096  # simulate's JSON totals are converted to text this many at a tim
 # 4.7 s (JSON) and 340 MB at this limit on a 2-CPU host with Python 3.11. Totals
 # wider than 64 bits shorten it in proportion (cmd_simulate).
 _MAX_STEPS = 5_000_000
+# tri's longest index in digits, checked before the text is read as an int. At
+# this limit `tri <n> --base 2` takes 0.6 s as a process on the same host.
+_MAX_DIGITS = 100_000
+# tri prints T(n) from exact decimal arithmetic: libmpdec parses and prints in linear
+# time, where str() of a binary int is quadratic. Call only this context's methods;
+# Decimal operators would round to the thread's 28-digit context.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact, decimal.Rounded])
 
 
 def _simulate_json(doc: dict, totals: tuple[int, ...]) -> Iterator[str]:
@@ -76,12 +85,14 @@ def _option_natural(text: str) -> int:
 
 
 def cmd_tri(args: argparse.Namespace) -> _Output:
-    value = tri_exact(parse_natural(args.n))
+    if len(args.n) > _MAX_DIGITS:
+        raise ValueError(f"n must have at most {_MAX_DIGITS} digits, got {len(args.n)}")
+    index = parse_natural(args.n)
     # Convert first: an invalid base fails before the decimal value is built.
-    digits = None if args.base is None else to_digits(value, args.base)
-    # args.n is validated decimal text, so stripping its leading zeros
-    # echoes n without converting it back from binary.
-    lines = [f"n = {args.n.lstrip('0') or '0'}", f"value = {value}"]
+    digits = None if args.base is None else to_digits(tri_exact(index), args.base)
+    n = _EXACT.create_decimal(args.n)  # exact: args.n is validated decimal text
+    value = _EXACT.divide_int(_EXACT.multiply(n, _EXACT.add(n, 1)), 2)
+    lines = [f"n = {n}", f"value = {value}"]  # a Decimal prints without leading zeros
     if digits is not None:
         lines += [f"digits (base {args.base}) = {digits}", f"units digit = {digits.units_digit}"]
     return lines, None
@@ -124,16 +135,19 @@ def cmd_prove(args: argparse.Namespace) -> _Output:
 
 def cmd_freq(args: argparse.Namespace) -> _Output:
     empirical = empirical_frequencies(args.base, args.count)
+    n = empirical.sample_size
     rows = []
+    # Integer true division is correctly rounded, as Fraction.__float__ is, so these
+    # are the floats of the exact proportion, frequency and deviation.
     for d, exact in residue_profile(args.base).frequency.items():
-        proportion = empirical.proportion(d)
+        count, p, q = empirical.counts[d], exact.numerator, exact.denominator
         rows.append({
             "digit": d,
-            "count": empirical.counts[d],
-            "proportion": float(proportion),
+            "count": count,
+            "proportion": count / n,
             "exact": _frac(exact),
-            "approx": float(exact),
-            "deviation": float(abs(proportion - exact)),
+            "approx": p / q,
+            "deviation": abs(count * q - p * n) / (n * q),
         })
     doc = {
         "base": args.base,

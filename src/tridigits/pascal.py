@@ -6,9 +6,9 @@
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
 
 from .core import validate_natural
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .core import MIN_BASE, tri_mod, validate_base, validate_natural
 
@@ -87,7 +87,7 @@ def residue_profile(base: int) -> ResidueProfile:
         base=base,
         period=base if base % 2 else 2 * base,
         reachable=frozenset(counts),
-        frequency={d: share[counts[d]] for d in range(base)},
+        frequency={d: share[counts.get(d, 0)] for d in range(base)},  # no Counter.__missing__ call
     )
 
 

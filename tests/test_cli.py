@@ -1,19 +1,25 @@
 import contextlib
+import decimal
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tridigits import digit_histogram, fit_power_law, parse_dynamics, simulate
-from tridigits.cli import _MAX_STEPS, _SLICE, main
+from tridigits import (
+    DEFAULT_SAMPLE_SIZE, digit_histogram, empirical_frequencies, fit_power_law, parse_dynamics,
+    residue_profile, simulate, tri_exact,
+)
+from tridigits.cli import _MAX_DIGITS, _MAX_STEPS, _SLICE, main
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +83,81 @@ def test_tri_rejects_garbage(capsys):
     assert code != 0
     assert err.startswith("error:")
     assert out == ""
+
+
+@contextlib.contextmanager
+def _no_int_str_cap():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _indices():
+    """Decimal indices of 1 to 5000 digits: random, all 9s, with leading zeros, and 0."""
+    rng = random.Random(16)
+    lengths = [*range(1, 60), 99, 100, 101, 1000, 4300, 4301, 5000]
+    texts = ["0", "00", "000", "007", "0" * 50 + "9" * 30]
+    for length in lengths:
+        texts.append(rng.choice("123456789") + "".join(rng.choices("0123456789", k=length - 1)))
+        texts.append("9" * length)
+        texts.append("0" * (length % 4 + 1) + texts[-2])
+    return texts
+
+
+@pytest.mark.parametrize("n", _indices(), ids=lambda n: f"{len(n)}:{n[:3]}..{n[-2:]}")
+def test_tri_value_is_the_exact_triangular_number(capsys, n):
+    code, out, err = run_cli(capsys, "tri", n)
+    with _no_int_str_cap():
+        expected = f"n = {int(n)}\nvalue = {tri_exact(int(n))}\n"
+    assert (code, out, err) == (0, expected, "")
+
+
+@given(st.text("0123456789", min_size=1, max_size=120))
+@settings(max_examples=200, deadline=None)
+def test_tri_value_is_exact_for_any_digit_text(n):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["tri", n, "--base", "10"]) == 0
+    value = tri_exact(int(n))
+    assert out.getvalue().splitlines()[1:3] == [f"value = {value}", f"digits (base 10) = {value}"]
+
+
+def test_tri_is_exact_whatever_the_decimal_context(capsys):
+    before = decimal.getcontext()
+    state = (before.prec, before.rounding, dict(before.traps), dict(before.flags))
+    n = "9" * 27 + "123456789" * 4  # beyond the default context's 28 digits
+    with decimal.localcontext(decimal.Context(prec=3, traps=[])):
+        code, out, _ = run_cli(capsys, "tri", n)
+        inner = decimal.getcontext()
+        assert (inner.prec, inner.flags[decimal.Rounded], inner.flags[decimal.Inexact]) == (3, False, False)
+    assert code == 0
+    assert out.splitlines()[1] == f"value = {tri_exact(int(n))}"
+    run_cli(capsys, "tri", "9" * 60)
+    after = decimal.getcontext()
+    assert (after.prec, after.rounding, dict(after.traps), dict(after.flags)) == state
+
+
+def test_tri_runs_at_the_digits_limit(capsys):
+    code, out, err = run_cli(capsys, "tri", "9" * _MAX_DIGITS)
+    # T(10^k - 1) = 5*10^(2k-1) - 5*10^(k-1)
+    k = _MAX_DIGITS
+    assert (code, err) == (0, "")
+    assert out == f"n = {'9' * k}\nvalue = 4{'9' * (k - 1)}5{'0' * (k - 1)}\n"
+
+
+@pytest.mark.parametrize("n", ["9" * (_MAX_DIGITS + 1), "0" * (_MAX_DIGITS + 1), "x" * 10**6],
+                         ids=["nines", "zeros", "letters"])
+def test_tri_refuses_an_index_over_the_digits_limit_before_reading_it(capsys, monkeypatch, n):
+    def refuse(text):
+        raise AssertionError("read an index over the digits limit")
+
+    monkeypatch.setattr("tridigits.cli.parse_natural", refuse)
+    code, out, err = run_cli(capsys, "tri", n)  # --base is read by parse_natural too
+    assert (code, out) == (2, "")
+    assert err == f"error: n must have at most {_MAX_DIGITS} digits, got {len(n)}\n"
 
 
 RESIDUES_BASE10_TABLE = """\
@@ -238,6 +319,41 @@ def test_freq_counts_a_huge_sample_exactly(capsys, fmt):
         counts = {int(row.split()[0]): int(row.split()[1]) for row in out.splitlines()[3:13]}
     assert counts == {d: 2 * 10**17 if d in (0, 1, 5, 6) else 10**17 if d in (3, 8) else 0
                       for d in range(10)}
+
+
+def _fraction_freq_rows(base, count):
+    """freq's rows from Fraction arithmetic, the way they were first computed."""
+    empirical = empirical_frequencies(base, count)
+    rows = []
+    for d, exact in residue_profile(base).frequency.items():
+        proportion = Fraction(empirical.counts[d], count)
+        rows.append({
+            "digit": d, "count": empirical.counts[d], "proportion": float(proportion),
+            "exact": f"{exact.numerator}/{exact.denominator}", "approx": float(exact),
+            "deviation": float(abs(proportion - exact)),
+        })
+    return rows
+
+
+@pytest.mark.parametrize("count", [1, 7, 999, DEFAULT_SAMPLE_SIZE, 10**30 + 7])
+def test_freq_rows_equal_the_fraction_rows_in_every_base(capsys, count):
+    for base in range(2, 257):
+        rows = _fraction_freq_rows(base, count)
+        argv = ["freq", "--base", str(base), "--count", str(count)]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["digits"] == rows
+        assert doc["max_deviation"] == max(r["deviation"] for r in rows)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split() for line in lines[3:-1]] == [
+            [str(r["digit"]), str(r["count"]), f"{r['proportion']:.6f}", r["exact"],
+             f"{r['approx']:.6f}", f"{r['deviation']:.6f}"]
+            for r in rows
+        ]
+        assert lines[-1] == f"max deviation = {doc['max_deviation']:.6f}"
 
 
 def test_freq_rows_align_under_a_wide_count_column(capsys):

@@ -1,6 +1,8 @@
 """The package has no runtime dependencies: its modules import the stdlib only."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -25,3 +27,12 @@ def test_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_the_cli_does_not_import_typing():
+    # -S: no site hooks, which may import typing themselves
+    code = "import sys, tridigits.cli; print('typing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(tridigits.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            check=False, env=env, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
