@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from . import __version__
-from .core import parse_natural, to_digits, tri_exact, validate_base
+from .core import _natural_text, parse_natural, to_digits, tri_exact, validate_base
 from .growth import digit_histogram, fit_power_law, parse_dynamics, simulate
 from .prover import _digit_set, enumerate_cases, render_transcript
 from .residues import DEFAULT_SAMPLE_SIZE, classify_base, empirical_frequencies, residue_profile
@@ -87,9 +87,12 @@ def _option_natural(text: str) -> int:
 def cmd_tri(args: argparse.Namespace) -> _Output:
     if len(args.n) > _MAX_DIGITS:
         raise ValueError(f"n must have at most {_MAX_DIGITS} digits, got {len(args.n)}")
-    index = parse_natural(args.n)
-    # Convert first: an invalid base fails before the decimal value is built.
-    digits = None if args.base is None else to_digits(tri_exact(index), args.base)
+    if args.base is None:
+        _natural_text(args.n)  # checked as text: the lines below need no binary int
+        digits = None
+    else:
+        # Convert first: an invalid base fails before the decimal value is built.
+        digits = to_digits(tri_exact(parse_natural(args.n)), args.base)
     n = _EXACT.create_decimal(args.n)  # exact: args.n is validated decimal text
     value = _EXACT.divide_int(_EXACT.multiply(n, _EXACT.add(n, 1)), 2)
     lines = [f"n = {n}", f"value = {value}"]  # a Decimal prints without leading zeros

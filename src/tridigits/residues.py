@@ -52,13 +52,27 @@ class EmpiricalFrequencies:
     sample_size: int
     counts: dict[int, int]  # entry for every digit 0..base-1
 
+    def __post_init__(self) -> None:
+        base = validate_base(self.base)
+        validate_natural(self.sample_size, "sample_size", 1)
+        if self.counts.keys() != set(range(base)):
+            raise ValueError(f"need one count for each digit in [0, {base})")
+        for count in self.counts.values():
+            if type(count) is not int or count < 0:  # one pass, as DigitString checks digits
+                validate_natural(count, "count")
+        if (total := sum(self.counts.values())) != self.sample_size:
+            raise ValueError(f"counts of digits in [0, {base}) sum to {total}, "
+                             f"not sample_size {self.sample_size}")
+
     @classmethod
     def tally(cls, base: int, digits: Iterable[int]) -> EmpiricalFrequencies:
-        """Count ``digits``, a non-empty sample each already reduced mod ``base``."""
+        """Count ``digits``, a non-empty sample each already reduced mod ``base``.
+
+        A stray digit is counted in the sample size but under no digit, so the
+        constructor rejects it, as it rejects an empty sample.
+        """
         validate_base(base)  # before the sample, which may be a lazy iterator, is read
         counts = Counter(digits)
-        if not counts or not counts.keys() <= set(range(base)):  # each distinct digit once
-            raise ValueError(f"need a non-empty sample of digits in [0, {base})")
         every_digit = {d: counts[d] for d in range(base)}
         return cls(base=base, sample_size=counts.total(), counts=every_digit)
 

@@ -85,6 +85,32 @@ def test_tri_rejects_garbage(capsys):
     assert out == ""
 
 
+# The same error line whether the index is read as an int (--base) or only checked as text.
+@pytest.mark.parametrize("base", [[], ["--base", "10"]], ids=["text", "int"])
+@pytest.mark.parametrize("n", ["1e3", "+5", " 7", "", "\u0661\u0662", "1_0"])
+def test_tri_rejects_non_decimal_index_text(capsys, n, base):
+    code, out, err = run_cli(capsys, "tri", n, *base)
+    assert (code, out, err) == (2, "", f"error: not a non-negative decimal integer: {n!r}\n")
+
+
+_NINES = "9" * 20_000  # T(10^k - 1) = 5*10^(2k-1) - 5*10^(k-1)
+
+
+@pytest.mark.parametrize("n, expected", [
+    (_NINES, (0, f"n = {_NINES}\nvalue = 4{'9' * 19_999}5{'0' * 19_999}\n", "")),
+    ("0070", (0, "n = 70\nvalue = 2485\n", "")),
+    ("1e3", (2, "", "error: not a non-negative decimal integer: '1e3'\n")),
+], ids=["nines", "leading_zeros", "not_decimal"])
+def test_tri_without_base_reads_no_int(capsys, monkeypatch, n, expected):
+    def refuse(*args):
+        raise AssertionError("tri without --base converted its index to an int")
+
+    monkeypatch.setattr("tridigits.cli.parse_natural", refuse)
+    for module in ("tridigits.core", "tridigits.cli"):  # int() anywhere in the two modules
+        monkeypatch.setattr(f"{module}.int", refuse, raising=False)
+    assert run_cli(capsys, "tri", n) == expected
+
+
 @contextlib.contextmanager
 def _no_int_str_cap():
     old = sys.get_int_max_str_digits()

@@ -1,3 +1,4 @@
+import inspect
 import random
 import sys
 
@@ -28,6 +29,8 @@ from tridigits import (
     validate_base,
     verify_case,
 )
+from tridigits import core
+from tridigits.core import _DIV_LIMIT, _div2n1n, _div3n2n
 
 
 def test_tri_exact_known_values():
@@ -160,9 +163,133 @@ def test_to_digits_power_of_two_bases_match_builtins(value):
     assert bytes(to_digits(value, 256).digits) == value.to_bytes((value.bit_length() + 7) // 8, "big")
 
 
+def _lines_run(call, *functions):
+    """Source lines of ``functions`` that ``call()`` executes, as stripped text."""
+    codes = {f.__code__: inspect.getsourcelines(f) for f in functions}
+    seen = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code in codes:
+            if event == "line":
+                lines, first = codes[frame.f_code]
+                seen.add(lines[frame.f_lineno - first].strip())
+            return tracer
+        return None
+
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return seen
+
+
+def _division_cases(rng, n):
+    """(a, b) with b of exactly n bits and a < b << n: random, and at each edge."""
+    b = rng.getrandbits(n) | 1 << (n - 1)
+    top = b << n
+    return [(rng.randrange(top), b), (top - 1, b), (top - b, b), (top - b - 1, b), (0, b), (b, b),
+            (rng.randrange(top) >> rng.randrange(2 * n), b),
+            ((1 << 2 * n - 1) - 1, 1 << n - 1), ((1 << 2 * n) - (1 << n) - 1, (1 << n) - 1)]
+
+
+@pytest.mark.parametrize("limit", [_DIV_LIMIT, 64, 8, 1])
+def test_recursive_division_matches_divmod(monkeypatch, limit):
+    # A low limit recurses to the bottom on small numbers, through odd n at every level.
+    monkeypatch.setattr(core, "_DIV_LIMIT", limit)
+    rng = random.Random(limit)
+    sizes = [*range(1, 40), 63, 64, 65, 127, 129, *(rng.randrange(40, 1200) for _ in range(60))]
+    if limit == _DIV_LIMIT:
+        sizes += [_DIV_LIMIT - 1, _DIV_LIMIT, _DIV_LIMIT + 1, 2 * _DIV_LIMIT + 1, 4099, 12_345, 20_000]
+        sizes += [rng.randrange(_DIV_LIMIT, 20_000) for _ in range(20)]
+    for n in sizes:
+        for a, b in _division_cases(rng, n):
+            assert _div2n1n(a, b, n) == divmod(a, b), (n, a, b)
+
+
+def test_recursive_division_reaches_every_branch(monkeypatch):
+    monkeypatch.setattr(core, "_DIV_LIMIT", 4)
+    rng = random.Random(17)
+    cases = [(a, b, n) for n in (5, 7, 9, 16, 33, 100, 257) for a, b in _division_cases(rng, n)]
+    seen = _lines_run(lambda: [_div2n1n(a, b, n) for a, b, n in cases], _div2n1n, _div3n2n)
+    for line in (
+        "a, b, n = a << 1, b << 1, n + 1",  # the pad for odd n
+        "q, r = (1 << n) - 1, a12 - (b1 << n) + b1",  # a12 >> n == b1
+        "q, r = _div2n1n(a12, b1, n)",
+        "q -= 1",  # the correction loop
+    ):
+        assert line in seen
+    # (b << n) - 1 has the largest quotient, (1 << n) - 1, and takes the a12 >> n == b1 branch
+    assert any(divmod(a, b)[0] == (1 << n) - 1 for a, b, n in cases)
+
+
+def divmod_split_digits(value, base):
+    """to_digits as it split before recursive division, with builtin divmod at every level."""
+    powers = [base**64]
+    while powers[-1] ** 2 <= value:
+        powers.append(powers[-1] ** 2)
+    chunks = [value]
+    for power in reversed(powers):
+        chunks = [part for chunk in chunks for part in divmod(chunk, power)]
+    digits = []
+    for chunk in chunks:
+        leaf = naive_digits(chunk, base)
+        digits += [0] * (64 - len(leaf)) + list(leaf)
+    first = next((i for i, d in enumerate(digits) if d), len(digits) - 1)
+    return tuple(digits[first:])
+
+
+def _values_around_the_division_limit(rng, base):
+    """Values of _DIV_LIMIT bits, and values whose top split, by the power base**(64 * 2**k)
+    of n bits, has a quotient of just below to just above _DIV_LIMIT bits."""
+    power = base**64
+    while power.bit_length() < _DIV_LIMIT + 3:  # so that every value below is under power**2
+        power *= power
+    n = power.bit_length()
+    values = []
+    for bits in (_DIV_LIMIT - 1, _DIV_LIMIT + 1, *range(n + _DIV_LIMIT - 1, n + _DIV_LIMIT + 3)):
+        values += [rng.getrandbits(bits) | 1 << (bits - 1), (1 << bits) - 1]
+    return values
+
+
+@pytest.mark.parametrize("base", range(2, 257))
+def test_to_digits_matches_the_divmod_split(base):
+    rng = random.Random(base)
+    values = _values_around_the_division_limit(rng, base)
+    values.append(rng.randrange(10**19_999, 10**20_000))  # 20 000 decimal digits
+    for value in values:
+        assert to_digits(value, base).digits == divmod_split_digits(value, base), value.bit_length()
+
+
+def horner_from_digits(d):
+    """from_digits as it was before it joined runs pairwise: one multiply-add per digit."""
+    value = 0
+    for digit in d.digits:
+        value = value * d.base + digit
+    return value
+
+
 def test_from_digits_inverts_known_values():
     assert from_digits(DigitString((1, 0, 1), 3)) == 10
     assert from_digits(DigitString((0,), 2)) == 0
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 37, 200, 256])
+def test_from_digits_matches_horner_at_run_boundaries(base):
+    rng = random.Random(base)
+    for length in (1, 2, 63, 64, 65, 127, 128, 129, 192, 193, 255, 256, 257, 64 * 7 + 5, 4096, 5001):
+        digits = (rng.randrange(1, base), *(rng.randrange(base) for _ in range(length - 1)))
+        for d in (digits, (1, *(0,) * (length - 1)), (base - 1,) * length):
+            ds = DigitString(d, base)
+            assert from_digits(ds) == horner_from_digits(ds), length
+
+
+@pytest.mark.parametrize("base", range(2, 257))
+def test_from_digits_inverts_to_digits_in_every_base(base):
+    rng = random.Random(base)
+    for bits in (0, 1, 64, 500, 2000, 20_000):
+        value = rng.getrandbits(bits)
+        assert from_digits(to_digits(value, base)) == value
 
 
 def test_digit_out_of_range_rejected():

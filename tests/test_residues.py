@@ -172,6 +172,34 @@ def test_tally_rejects_stray_digits_and_empty_samples(digits):
         EmpiricalFrequencies.tally(10, digits)
 
 
+def _every_digit(base, **counts):
+    return {d: counts.get(f"d{d}", 0) for d in range(base)}
+
+
+# States no count produces: every digit needs one natural count, and the counts
+# make up the sample exactly.
+@pytest.mark.parametrize("args, error, message", [
+    ((10, 5, {d: 7 for d in range(10)}), ValueError, "sum to 70, not sample_size 5"),
+    ((10, 5, {0: 5}), ValueError, r"need one count for each digit in \[0, 10\)"),
+    ((10, 5, {**_every_digit(10, d0=5), 10: 0}), ValueError, "need one count for each digit"),
+    ((10, 0, _every_digit(10)), ValueError, "sample_size must be >= 1"),
+    ((10, 1.0, _every_digit(10, d0=1)), TypeError, "sample_size must be an int"),
+    ((10, 1, _every_digit(10, d0=True)), TypeError, "count must be an int, got bool"),
+    ((10, 1, _every_digit(10, d0=1.0)), TypeError, "count must be an int, got float"),
+    ((10, 1, _every_digit(10, d0=2, d1=-1)), ValueError, "count must be >= 0, got -1"),
+    ((300, 1, _every_digit(300, d0=1)), ValueError, "base must be in"),
+])
+def test_empirical_frequencies_rejects_inconsistent_states(args, error, message):
+    with pytest.raises(error, match=message):
+        EmpiricalFrequencies(*args)
+
+
+def test_empirical_frequencies_accepts_what_a_count_produces():
+    emp = EmpiricalFrequencies(10, 5, _every_digit(10, d0=3, d9=2))
+    assert emp.proportion(9) == Fraction(2, 5)
+    assert EmpiricalFrequencies.tally(10, [0, 0, 0, 9, 9]) == emp
+
+
 def _unread_sample():
     raise AssertionError("sample read before the base was checked")
     yield 0
