@@ -17,6 +17,8 @@ MIN_BASE = 2
 MAX_BASE = 256
 
 _DIGIT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
+# Digit value d (as a byte) -> the ASCII code of _DIGIT_CHARS[d], for bytes.translate.
+_DIGIT_BYTES = bytes.maketrans(bytes(range(len(_DIGIT_CHARS))), _DIGIT_CHARS.encode("ascii"))
 
 
 def validate_base(base: int) -> int:
@@ -110,7 +112,7 @@ class DigitString:
         # as a decimal number, colon-separated, so rendering stays
         # unambiguous for every supported base.
         if self.base <= len(_DIGIT_CHARS):
-            return "".join(_DIGIT_CHARS[d] for d in self.digits)
+            return bytes(self.digits).translate(_DIGIT_BYTES).decode("ascii")
         return ":".join(str(d) for d in self.digits)
 
 

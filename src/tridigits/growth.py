@@ -143,6 +143,21 @@ def simulate(dynamics: DividingDynamics, horizon: int, initial_total: int = 0) -
     return GrowthTrace(dynamics, initial_total, tuple(islice(running, 1, None)))
 
 
+# log(1) .. log(len(_LOG_T)), the xs of every fit; grown on demand up to _LOG_T_LIMIT
+# entries (2 MiB), so the process keeps no more than that for later fits.
+_LOG_T = array("d")
+_LOG_T_LIMIT = 1 << 18
+
+
+def _log_t(lo: int, hi: int) -> array:
+    """log(lo) .. log(hi) as floats, the same math.log of the same ints in every case."""
+    if hi > _LOG_T_LIMIT:
+        return array("d", map(math.log, range(lo, hi + 1)))
+    if hi > len(_LOG_T):
+        _LOG_T.extend(map(math.log, range(len(_LOG_T) + 1, hi + 1)))
+    return _LOG_T[lo - 1 : hi]
+
+
 def default_window(trace: GrowthTrace) -> tuple[int, int]:
     """Upper half of the trace, where asymptotic behavior dominates."""
     return (max(1, trace.horizon // 2), trace.horizon)
@@ -156,7 +171,10 @@ def fit_power_law(trace: GrowthTrace, window: tuple[int, int] | None = None) -> 
     to exist. math.log is used directly on the integer totals, so
     arbitrarily large populations fit without overflow. A flat window,
     where every total is the same N, is fitted exactly with no
-    regression: exponent 0, offset log N and residual 0.
+    regression: exponent 0, offset log N and residual 0. The xs, log t,
+    are sliced from a table of log 1 .. log 2**18 that fits fill on
+    demand and keep for later fits (at most 2 MiB); a window reaching
+    past 2**18 takes its logs per call.
     """
     if window is None:
         window = default_window(trace)
@@ -166,14 +184,15 @@ def fit_power_law(trace: GrowthTrace, window: tuple[int, int] | None = None) -> 
     if hi - lo < 1:
         raise ValueError("window must contain at least two points")
     totals = trace.total[lo - 1 : hi]
-    low = min(totals)
-    if low <= 0:
+    n = totals[0]
+    try:  # math.log raises ValueError exactly for a total <= 0
+        if totals.count(n) == len(totals):  # N = N0 * t**0 exactly; a regression would round it
+            return PowerLawFit(exponent=0.0, offset=math.log(n), window=(lo, hi), residual=0.0)
+        ys = array("d", map(math.log, totals))
+    except ValueError:
         t = next(t for t, value in enumerate(totals, lo) if value <= 0)
-        raise ValueError(f"total at t={t} is not positive; cannot take its log")
-    if max(totals) == low:  # N = N0 * t**0 exactly; a regression would round it
-        return PowerLawFit(exponent=0.0, offset=math.log(low), window=(lo, hi), residual=0.0)
-    xs = array("d", map(math.log, range(lo, hi + 1)))
-    ys = array("d", map(math.log, totals))
+        raise ValueError(f"total at t={t} is not positive; cannot take its log") from None
+    xs = _log_t(lo, hi)
     slope, intercept = statistics.linear_regression(xs, ys)
     squares = ((r := y - (slope * x + intercept)) * r for x, y in zip(xs, ys))
     residual = math.sqrt(math.fsum(squares) / len(xs))

@@ -20,6 +20,12 @@ class PascalRow:
     index: int
     coefficients: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        validate_natural(self.index, "index")
+        count = len(self.coefficients)
+        if count != self.index + 1:
+            raise ValueError(f"row {self.index} has {self.index + 1} coefficients, got {count}")
+
 
 def iter_rows() -> Iterator[tuple[int, ...]]:
     """Yield rows (1), (1, 1), (1, 2, 1), ... forever.

@@ -325,6 +325,17 @@ def test_rendering_small_and_large_bases():
     assert to_digits(1000, 100).units_digit == 0
 
 
+@pytest.mark.parametrize("base", range(2, 37))
+def test_rendering_up_to_base_36_matches_the_per_digit_join(base):
+    # the per-digit join that the translate table replaced is the oracle
+    chars = "0123456789abcdefghijklmnopqrstuvwxyz"
+    values = [0, 1, base - 1, random.Random(base).randrange(base**19_999, base**20_000)]
+    values += [base**k + delta for k in range(1, 70) for delta in (-1, 0, 1)]
+    for value in values:
+        digits = to_digits(value, base)
+        assert str(digits) == "".join(chars[d] for d in digits.digits)
+
+
 def test_roundtrip_bulk_seeded():
     rng = random.Random(20250809)
     values = [rng.randrange(10**40) for _ in range(10_000)]

@@ -1,11 +1,17 @@
 import dataclasses
 import math
+import os
 import statistics
+import subprocess
+import sys
+from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tridigits import growth
 from tridigits import (
     DividingDynamics,
     GrowthTrace,
@@ -271,6 +277,64 @@ def test_flat_window_fits_exactly():
 
     hand_built = GrowthTrace(DividingDynamics.linear(), 0, (3, 10**400, 10**400, 10**400))
     assert fit_power_law(hand_built, (2, 4)) == PowerLawFit(0.0, math.log(10**400), (2, 4), 0.0)
+
+
+@pytest.mark.parametrize(
+    "totals, window, t",
+    [
+        ((4, 0, 0, 0), (2, 4), 2),  # a flat window of zeros
+        ((4, -3, -3, -3), (2, 4), 2),  # a flat window of one negative total
+        ((1, 3, 6, 10, 0), (2, 5), 5),  # only the last total is not positive
+        ((1, 3, -10**400, 10), (1, 4), 3),
+        ((1.0, 3.0, 0.0, 10.0), (1, 4), 3),
+    ],
+)
+def test_fit_names_the_first_nonpositive_total(totals, window, t):
+    trace = GrowthTrace(DividingDynamics.linear(), 0, totals)
+    with pytest.raises(ValueError, match=rf"^total at t={t} is not positive; cannot take its log$"):
+        fit_power_law(trace, window)
+
+
+def test_flat_window_of_a_huge_total_fits_exactly():
+    trace = GrowthTrace(DividingDynamics.linear(), 0, (10**400,) * 5)
+    fit = fit_power_law(trace, (1, 5))
+    assert fit == PowerLawFit(0.0, math.log(10**400), (1, 5), 0.0)
+    assert math.copysign(1.0, fit.exponent) == 1.0
+
+
+LIMIT = growth._LOG_T_LIMIT
+
+
+@pytest.fixture
+def empty_log_table(monkeypatch):
+    monkeypatch.setattr(growth, "_LOG_T", array("d"))
+
+
+def logs(lo, hi):
+    return array("d", map(math.log, range(lo, hi + 1)))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1, 2), (7, 5000), (LIMIT - 300, LIMIT), (LIMIT - 300, LIMIT + 300), (LIMIT + 1, LIMIT + 300)],
+    ids=["first", "below", "ending_at_limit", "straddling", "beyond"],
+)
+def test_log_table_slices_equal_math_log(empty_log_table, lo, hi):
+    assert growth._log_t(lo, hi) == logs(lo, hi)
+    assert len(growth._LOG_T) == (hi if hi <= LIMIT else 0)
+
+
+def test_log_table_grown_out_of_order(empty_log_table):
+    for lo, hi in [(9000, 20000), (3, 10), (15000, 60000), (1, 2)]:
+        assert growth._log_t(lo, hi) == logs(lo, hi)
+    assert growth._LOG_T == logs(1, 60000)
+
+
+def test_import_leaves_the_log_table_empty():
+    code = "import tridigits, tridigits.cli; from tridigits import growth; print(len(growth._LOG_T))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout == "0\n"
 
 
 @given(

@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 
 import tridigits.pascal
-from tridigits import iter_rows, pascal_row, quadratic_diagonal, tri_exact
+from tridigits import PascalRow, iter_rows, pascal_row, quadratic_diagonal, tri_exact
 
 
 def test_known_rows():
@@ -16,6 +16,16 @@ def test_known_rows():
 def test_negative_row_rejected():
     with pytest.raises(ValueError):
         pascal_row(-1)
+
+
+def test_row_must_hold_index_plus_one_coefficients():
+    assert PascalRow(index=2, coefficients=(1, 2, 1)) == pascal_row(2)
+    with pytest.raises(ValueError, match=r"^row 3 has 4 coefficients, got 1$"):
+        PascalRow(3, (9,))
+    with pytest.raises(ValueError, match=r"^index must be >= 0, got -1$"):
+        PascalRow(-1, ())
+    with pytest.raises(TypeError, match=r"^index must be an int, got bool$"):
+        PascalRow(True, (1, 1))
 
 
 def test_rows_symmetric_and_recurrent_up_to_100():
