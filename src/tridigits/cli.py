@@ -87,12 +87,8 @@ def _option_natural(text: str) -> int:
 def cmd_tri(args: argparse.Namespace) -> _Output:
     if len(args.n) > _MAX_DIGITS:
         raise ValueError(f"n must have at most {_MAX_DIGITS} digits, got {len(args.n)}")
-    if args.base is None:
-        _natural_text(args.n)  # checked as text: the lines below need no binary int
-        digits = None
-    else:
-        # Convert first: an invalid base fails before the decimal value is built.
-        digits = to_digits(tri_exact(parse_natural(args.n)), args.base)
+    _natural_text(args.n)  # as text: only --base needs a binary int, built before the Decimal
+    digits = None if args.base is None else to_digits(tri_exact(parse_natural(args.n)), args.base)
     n = _EXACT.create_decimal(args.n)  # exact: args.n is validated decimal text
     value = _EXACT.divide_int(_EXACT.multiply(n, _EXACT.add(n, 1)), 2)
     lines = [f"n = {n}", f"value = {value}"]  # a Decimal prints without leading zeros

@@ -216,8 +216,6 @@ def from_digits(d: DigitString) -> int:
     are balanced ones and not one multiply of the whole value per digit.
     """
     base, digits = d.base, d.digits
-    if len(digits) <= _LEAF_DIGITS:
-        return _leaf_value(digits, base)
     # The leading run is the one that may be shorter than 64 digits.
     ends = range(len(digits) % _LEAF_DIGITS or _LEAF_DIGITS, len(digits) + 1, _LEAF_DIGITS)
     chunks = [_leaf_value(digits[start:end], base) for start, end in zip((0, *ends), ends)]

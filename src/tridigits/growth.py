@@ -111,14 +111,19 @@ class GrowthTrace:
     initial_total: int
     total: tuple[int, ...]  # N(1) .. N(T)
 
+    def __post_init__(self) -> None:
+        validate_natural(self.initial_total, "initial_total")
+        if not self.total:
+            raise ValueError("a trace needs at least one total")
+
     @property
     def horizon(self) -> int:
         return len(self.total)
 
     @property
     def dividing(self) -> tuple[int, ...]:
-        """d(1) .. d(T), recomputed from the dynamics on each read."""
-        return tuple(self.dynamics.dividing_counts(self.horizon))
+        """d(1) .. d(T), the successive differences of N0, N(1) .. N(T), on each read."""
+        return tuple(map(operator.sub, self.total, chain((self.initial_total,), self.total)))
 
     def total_at(self, t: int) -> int:
         validate_natural(t, "t")

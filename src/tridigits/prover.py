@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import tri_mod, validate_base, validate_natural
-from .residues import fundamental_window
+from .residues import _missing, fundamental_window
 
 __all__ = [
     "CongruenceCase", "ProofTranscript", "enumerate_cases", "verify_case", "render_transcript",
@@ -40,10 +40,21 @@ class CongruenceCase:
 
 @dataclass(frozen=True)
 class ProofTranscript:
+    """The cases of one base; the reachable and missing digits are read from them."""
+
     base: int
     cases: tuple[CongruenceCase, ...]
-    derived_reachable: frozenset[int]
-    derived_missing: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        validate_base(self.base)  # bounds the range derived_missing walks
+
+    @property
+    def derived_reachable(self) -> frozenset[int]:
+        return frozenset(c.output_digit for c in self.cases)
+
+    @property
+    def derived_missing(self) -> tuple[int, ...]:
+        return _missing(self.base, self.derived_reachable)
 
 
 def enumerate_cases(base: int) -> ProofTranscript:
@@ -64,14 +75,7 @@ def enumerate_cases(base: int) -> ProofTranscript:
         else:
             cases.append(CongruenceCase(base, i, PARITY_EVEN, j_even))
             cases.append(CongruenceCase(base, i, PARITY_ODD, j_odd))
-    reachable = frozenset(c.output_digit for c in cases)
-    missing = tuple(sorted(set(range(base)) - reachable))
-    return ProofTranscript(
-        base=base,
-        cases=tuple(cases),
-        derived_reachable=reachable,
-        derived_missing=missing,
-    )
+    return ProofTranscript(base=base, cases=tuple(cases))
 
 
 def _digit_set(digits) -> str:

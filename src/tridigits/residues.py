@@ -24,6 +24,10 @@ __all__ = [
 DEFAULT_SAMPLE_SIZE = 100_000
 
 
+def _missing(base: int, reachable: frozenset[int]) -> tuple[int, ...]:  # in increasing order
+    return tuple(d for d in range(base) if d not in reachable)
+
+
 @dataclass(frozen=True)
 class ResidueProfile:
     """Exact units-digit distribution of triangular numbers in one base."""
@@ -36,7 +40,7 @@ class ResidueProfile:
     @property
     def missing_digits(self) -> tuple[int, ...]:
         """Digits no triangular number ends with, in increasing order."""
-        return tuple(d for d in range(self.base) if d not in self.reachable)
+        return _missing(self.base, self.reachable)
 
     @property
     def gappy(self) -> bool:

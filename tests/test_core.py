@@ -407,7 +407,7 @@ LINEAR_TRACE = simulate(DividingDynamics.linear(), 20)
                      id="verify_case_float_base"),
         pytest.param(  # the ValueError verify_case raises for it, not a KeyError
             lambda: render_transcript(
-                ProofTranscript(3, (CongruenceCase(3, 0, "some", 0),), frozenset({0}), (1, 2))),
+                ProofTranscript(3, (CongruenceCase(3, 0, "some", 0),))),
             ValueError, id="render_transcript_unknown_parity"),
         pytest.param(lambda: parse_natural(5), TypeError, id="parse_natural_int"),
         pytest.param(lambda: parse_natural(b"5"), TypeError, id="parse_natural_bytes"),

@@ -130,6 +130,20 @@ def test_trace_stores_only_its_totals():
     assert (trace.horizon, trace.dividing) == (6, (4, 3, 2, 1, 0, 0))
 
 
+def test_dividing_counts_come_from_the_totals():
+    assert GrowthTrace(DividingDynamics.linear(), 0, (5, 5, 5)).dividing == (5, 0, 0)
+    assert GrowthTrace(DividingDynamics.linear(), 7, (1, 3, 6)).dividing == (-6, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "initial, total, error",
+    [(0, (), ValueError), (True, (1,), TypeError), (0.0, (1,), TypeError), (-1, (1,), ValueError)],
+)
+def test_trace_rejects_a_bad_initial_total_or_no_totals(initial, total, error):
+    with pytest.raises(error):
+        GrowthTrace(DividingDynamics.linear(), initial, total)
+
+
 def naive_dividing(dynamics, horizon):
     return [dynamics.dividing_at(t) for t in range(1, horizon + 1)]
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tridigits import (
@@ -5,6 +7,7 @@ from tridigits import (
     PARITY_EVEN,
     PARITY_ODD,
     CongruenceCase,
+    ProofTranscript,
     enumerate_cases,
     render_transcript,
     residue_profile,
@@ -88,6 +91,32 @@ def test_all_emitted_cases_sound():
 def test_reachable_agrees_with_residue_profile():
     for base in range(2, 65):
         assert enumerate_cases(base).derived_reachable == residue_profile(base).reachable
+
+
+def test_missing_is_the_complement_of_the_reachable_digits():
+    for base in range(2, 257):
+        t = enumerate_cases(base)
+        oracle = tuple(sorted(set(range(base)) - t.derived_reachable))
+        assert t.derived_missing == oracle == residue_profile(base).missing_digits
+
+
+def test_transcript_stores_only_its_base_and_cases():
+    assert [f.name for f in dataclasses.fields(ProofTranscript)] == ["base", "cases"]
+
+
+def test_transcript_with_no_cases_misses_every_digit():
+    t = ProofTranscript(10, ())
+    assert (t.derived_reachable, t.derived_missing) == (frozenset(), tuple(range(10)))
+    assert render_transcript(t).endswith("missing: {0,1,2,3,4,5,6,7,8,9}\n")
+
+
+@pytest.mark.parametrize(
+    "base, error",
+    [(300, ValueError), (1, ValueError), (10**12, ValueError), (True, TypeError), (10.0, TypeError)],
+)
+def test_transcript_rejects_a_bad_base(base, error):
+    with pytest.raises(error):
+        ProofTranscript(base, ())
 
 
 GOLDEN_BASE3 = """\
