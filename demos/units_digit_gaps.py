@@ -18,8 +18,7 @@ from tridigits import (
 def show_profile(base: int) -> None:
     profile = residue_profile(base)
     print(f"base {base}  (pattern repeats every {profile.period} indices)")
-    for d in range(base):
-        f = profile.frequency[d]
+    for d, f in profile.frequency.items():
         bar = "#" * round(40 * f)
         print(f"  digit {d:>3}  {f.numerator}/{f.denominator:<4} {bar}")
     if profile.gappy:
@@ -48,10 +47,10 @@ def main() -> None:
     print()
 
     print("Empirical counts converge to the exact rationals (base 10):")
-    profile = residue_profile(10)
+    frequency = residue_profile(10).frequency
     for count in (17, 333, 9999, 99_999, 100_000):
         emp = empirical_frequencies(10, count)
-        worst = max(abs(emp.proportion(d) - profile.frequency[d]) for d in range(10))
+        worst = max(abs(emp.proportion(d) - f) for d, f in frequency.items())
         print(f"  first {count:>6} triangular numbers: max deviation {float(worst):.6f}")
     print("  (at any multiple of 20 the match is exact; the pattern has period 20)")
     print()

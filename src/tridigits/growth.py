@@ -70,6 +70,7 @@ class DividingDynamics:
         return cls(kind=DECLINE, start=start, slope=slope)
 
     def dividing_at(self, t: int) -> int:
+        validate_natural(t, "t", 1)
         if self.kind == LINEAR:
             return t
         if self.kind == CONSTANT:
@@ -191,7 +192,7 @@ def fit_power_law(trace: GrowthTrace, window: tuple[int, int] | None = None) -> 
     totals = trace.total[lo - 1 : hi]
     n = totals[0]
     try:  # math.log raises ValueError exactly for a total <= 0
-        if totals.count(n) == len(totals):  # N = N0 * t**0 exactly; a regression would round it
+        if n == n and totals.count(n) == len(totals):  # N = N0 * t**0 exactly; nan is never flat
             return PowerLawFit(exponent=0.0, offset=math.log(n), window=(lo, hi), residual=0.0)
         ys = array("d", map(math.log, totals))
     except ValueError:

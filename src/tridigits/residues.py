@@ -2,8 +2,9 @@
 
 The sequence n -> tri_mod(n, L) repeats with period dividing 2L, so the
 window n in [0, 2L) decides everything: the reachable and missing digit
-sets and the exact frequency of each digit. Frequencies are kept as
-exact rationals; no digit's share is ever approximated.
+sets and the exact frequency of each digit. Frequencies are exact
+rationals, derived from the window when read; no digit's share is ever
+approximated.
 """
 
 from __future__ import annotations
@@ -35,7 +36,13 @@ class ResidueProfile:
     base: int
     period: int
     reachable: frozenset[int]
-    frequency: dict[int, Fraction]  # entry for every digit 0..base-1
+
+    @property
+    def frequency(self) -> dict[int, Fraction]:
+        """Exact share of every digit 0..base-1, from the base's window on each read."""
+        counts = Counter(fundamental_window(self.base))
+        share = {c: Fraction(c, 2 * self.base) for c in {0, *counts.values()}}  # one per count
+        return {d: share[counts.get(d, 0)] for d in range(self.base)}  # no Counter.__missing__ call
 
     @property
     def missing_digits(self) -> tuple[int, ...]:
@@ -81,6 +88,8 @@ class EmpiricalFrequencies:
         return cls(base=base, sample_size=counts.total(), counts=every_digit)
 
     def proportion(self, digit: int) -> Fraction:
+        if validate_natural(digit, "digit") >= self.base:
+            raise ValueError(f"digit must be in [0, {self.base}), got {digit}")
         return Fraction(self.counts[digit], self.sample_size)
 
 
@@ -92,21 +101,14 @@ def fundamental_window(base: int) -> tuple[int, ...]:
 
 
 def residue_profile(base: int) -> ResidueProfile:
-    """Exact reachable set, frequencies, and period for one base.
+    """Exact reachable set and period for one base; its frequencies are derived on read.
 
     The period is the base when it is odd and twice the base when it is
     even: T(n+p) - T(n) = p*n + p(p+1)/2 vanishes mod L for every n only
     when L divides p and, for even L, p/L is even.
     """
     window = fundamental_window(base)
-    counts = Counter(window)
-    share = {c: Fraction(c, len(window)) for c in {0, *counts.values()}}  # one per count
-    return ResidueProfile(
-        base=base,
-        period=base if base % 2 else 2 * base,
-        reachable=frozenset(counts),
-        frequency={d: share[counts.get(d, 0)] for d in range(base)},  # no Counter.__missing__ call
-    )
+    return ResidueProfile(base=base, period=base if base % 2 else 2 * base, reachable=frozenset(window))
 
 
 def classify_base(base: int) -> ResidueProfile:
@@ -121,9 +123,8 @@ def empirical_frequencies(base: int, sample_size: int = DEFAULT_SAMPLE_SIZE) -> 
     counts are those of whole windows plus the window's prefix from n = 1:
     O(base) work, whatever ``sample_size`` is.
     """
-    validate_base(base)  # before sample_size, so a bad base is the error reported
+    window = fundamental_window(base)  # checks base before sample_size, so a bad base is reported
     validate_natural(sample_size, "sample_size", 1)
-    window = fundamental_window(base)
     whole, rest = divmod(sample_size, len(window))
     per_window, prefix = Counter(window), Counter(window[1 : rest + 1])
     counts = {d: whole * per_window[d] + prefix[d] for d in range(base)}

@@ -425,6 +425,22 @@ LINEAR_TRACE = simulate(DividingDynamics.linear(), 20)
                      id="dividing_counts_bool"),
         pytest.param(lambda: DividingDynamics.constant(2).dividing_counts(-1), ValueError,
                      id="dividing_counts_negative"),
+        pytest.param(lambda: DividingDynamics.linear().dividing_at(2.5), TypeError,
+                     id="dividing_at_float"),
+        pytest.param(lambda: DividingDynamics.linear().dividing_at(True), TypeError,
+                     id="dividing_at_bool"),
+        pytest.param(lambda: DividingDynamics.decline(10, 2).dividing_at(-3), ValueError,
+                     id="dividing_at_negative"),
+        pytest.param(lambda: DividingDynamics.constant(4).dividing_at(0), ValueError,
+                     id="dividing_at_zero"),
+        pytest.param(lambda: empirical_frequencies(10, 20).proportion(True), TypeError,
+                     id="proportion_bool"),
+        pytest.param(lambda: empirical_frequencies(10, 20).proportion(1.0), TypeError,
+                     id="proportion_float"),
+        pytest.param(lambda: empirical_frequencies(10, 20).proportion(10), ValueError,
+                     id="proportion_digit_not_below_base"),
+        pytest.param(lambda: empirical_frequencies(10, 20).proportion(-1), ValueError,
+                     id="proportion_negative"),
         # a cached window for 2 must not answer for 2.0 or True; an untyped
         # cache keys keyword calls by value, so base=2.0 would hit base=2
         pytest.param(lambda: (fundamental_window(2), fundamental_window(2.0)), TypeError,

@@ -399,6 +399,17 @@ def test_window_with_equal_ends_but_not_flat_is_regressed(monkeypatch):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "totals",
+    [(float("nan"),) * 3, (float("nan"), float("nan"), float("nan"))],
+    ids=["one_nan_object", "distinct_nans"],
+)
+def test_a_window_of_nan_is_not_flat(totals):
+    # tuple.count matches by identity before ==, so one repeated nan object once read as flat
+    fit = fit_power_law(GrowthTrace(DividingDynamics.linear(), 0, totals), (1, 3))
+    assert all(math.isnan(value) for value in (fit.exponent, fit.offset, fit.residual))
+
+
 def test_histogram_linear_base10_gaps():
     trace = simulate(DividingDynamics.linear(), 10_000)
     hist = digit_histogram(trace, 10)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from tridigits import (
     EmpiricalFrequencies,
+    ResidueProfile,
     classify_base,
     empirical_frequencies,
     fundamental_window,
@@ -16,6 +18,7 @@ from tridigits import (
     tri_exact,
     tri_mod,
 )
+from tridigits import residues
 
 
 def test_base10_profile_matches_known_frequencies():
@@ -260,6 +263,39 @@ def test_sweep_bounds():
         power_of_two_sweep(257)
     with pytest.raises(ValueError):
         power_of_two_sweep(1)
+
+
+def test_profile_stores_only_what_the_window_does_not_derive():
+    assert [f.name for f in dataclasses.fields(ResidueProfile)] == ["base", "period", "reachable"]
+
+
+def test_classifying_builds_no_frequencies(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a Fraction")
+
+    monkeypatch.setattr(residues, "Fraction", refuse)
+    assert len(power_of_two_sweep(256)) == 255
+    for base in range(2, 257):
+        profile = classify_base(base)
+        assert profile.gappy == bool(profile.missing_digits)
+
+
+def test_frequency_follows_the_base_after_a_replace():
+    assert dataclasses.replace(residue_profile(9), period=10).frequency == residue_profile(9).frequency
+
+
+def test_profiles_are_hashable_and_distinct_per_base():
+    assert len({residue_profile(b) for b in range(2, 257)}) == 255
+    assert hash(residue_profile(10)) == hash(residue_profile(10))
+
+
+def test_writing_into_a_frequency_leaves_the_next_read_unchanged():
+    profile = residue_profile(10)
+    frequency = profile.frequency
+    frequency[2] = Fraction(1)
+    del frequency[0]
+    assert profile.frequency == residue_profile(10).frequency
+    assert profile.frequency[2] == 0 and profile.frequency[0] == Fraction(1, 5)
 
 
 @given(base=st.integers(min_value=2, max_value=256))
