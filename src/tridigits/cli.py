@@ -6,19 +6,16 @@ Exact rationals are always printed as ``p/q`` in lowest terms.
 """
 
 import argparse
-import decimal
 import functools
-import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 
 from . import __version__
 from .core import _natural_text, parse_natural, to_digits, tri_exact, validate_base
-from .growth import digit_histogram, fit_power_law, parse_dynamics, simulate
-from .prover import _digit_set, enumerate_cases, render_transcript
-from .residues import DEFAULT_SAMPLE_SIZE, classify_base, empirical_frequencies, residue_profile
+
+# Each handler imports its own layers when it runs, and json only for --format json:
+# a call pays for the layers of its subcommand only, and `tri` for core alone.
 
 # What a subcommand computes: its table lines and a builder of its
 # ``--format json`` text, in parts (None without --format). Only main prints.
@@ -28,18 +25,31 @@ _SLICE = 4096  # simulate's JSON totals are converted to text this many at a tim
 # 4.7 s (JSON) and 340 MB at this limit on a 2-CPU host with Python 3.11. Totals
 # wider than 64 bits shorten it in proportion (cmd_simulate).
 _MAX_STEPS = 5_000_000
-# tri's longest index in digits, checked before the text is read as an int. At
-# this limit `tri <n> --base 2` takes 0.6 s as a process on the same host.
+# The longest decimal text read from argv (tri's index, every integer option, each
+# --bases range), checked before the text is read as an int. At this limit
+# `tri <n> --base 2` takes 0.6 s as a process on the same host.
 _MAX_DIGITS = 100_000
-# tri prints T(n) from exact decimal arithmetic: libmpdec parses and prints in linear
-# time, where str() of a binary int is quadratic. Call only this context's methods;
-# Decimal operators would round to the thread's 28-digit context.
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                         traps=[decimal.Inexact, decimal.Rounded])
+
+
+@functools.cache
+def _exact():
+    """tri prints T(n) from exact decimal arithmetic: libmpdec parses and prints in linear
+    time, where str() of a binary int is quadratic. Call only this context's methods;
+    Decimal operators would round to the thread's 28-digit context."""
+    import decimal
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                           traps=[decimal.Inexact, decimal.Rounded])
+
+
+def _json_text(doc) -> list[str]:
+    """The whole of a subcommand's ``--format json`` text."""
+    import json
+    return [json.dumps(doc, indent=2)]
 
 
 def _simulate_json(doc: dict, totals: tuple[int, ...]) -> Iterator[str]:
     """json.dumps({**doc, "total": list(map(str, totals))}, indent=2), in parts."""
+    import json
     head, tail = json.dumps(doc, indent=2).split('"total": null', 1)  # before any part is written
     yield f'{head}"total": [\n    "{totals[0]}'
     for i in range(1, len(totals), _SLICE):
@@ -47,7 +57,7 @@ def _simulate_json(doc: dict, totals: tuple[int, ...]) -> Iterator[str]:
     yield '"\n  ]' + tail
 
 
-def _frac(f: Fraction) -> str:
+def _frac(f) -> str:  # an exact Fraction
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -59,11 +69,18 @@ def _seq_line(value_at: Callable[[int], int], count: int) -> str:
     return f"{head} ... {value_at(count)}"
 
 
+def _capped(text: str, name: str) -> str:
+    """Return ``text`` unchanged after checking it has at most _MAX_DIGITS characters."""
+    if len(text) > _MAX_DIGITS:
+        raise ValueError(f"{name} must have at most {_MAX_DIGITS} digits, got {len(text)}")
+    return text
+
+
 def _parse_bases(text: str) -> list[int]:
     """Inclusive ranges ``a..b`` and single bases, comma-separated."""
     bases: set[int] = set()
     for token in text.split(","):
-        token = token.strip()
+        token = _capped(token.strip(), "base range")
         lo_text, sep, hi_text = token.partition("..")
         try:
             lo, hi = parse_natural(lo_text), parse_natural(hi_text if sep else lo_text)
@@ -79,18 +96,19 @@ def _parse_bases(text: str) -> list[int]:
 def _option_natural(text: str) -> int:
     """An integer option's value by ``parse_natural``, whose message argparse then reports."""
     try:
-        return parse_natural(text)  # by name at call time, as main finds its handlers
+        # parse_natural by name at call time, as main finds its handlers
+        return parse_natural(_capped(text, "value"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_tri(args: argparse.Namespace) -> _Output:
-    if len(args.n) > _MAX_DIGITS:
-        raise ValueError(f"n must have at most {_MAX_DIGITS} digits, got {len(args.n)}")
-    _natural_text(args.n)  # as text: only --base needs a binary int, built before the Decimal
+    # As text: only --base needs a binary int, built before the Decimal.
+    _natural_text(_capped(args.n, "n"))
     digits = None if args.base is None else to_digits(tri_exact(parse_natural(args.n)), args.base)
-    n = _EXACT.create_decimal(args.n)  # exact: args.n is validated decimal text
-    value = _EXACT.divide_int(_EXACT.multiply(n, _EXACT.add(n, 1)), 2)
+    exact = _exact()
+    n = exact.create_decimal(args.n)  # exact: args.n is validated decimal text
+    value = exact.divide_int(exact.multiply(n, exact.add(n, 1)), 2)
     lines = [f"n = {n}", f"value = {value}"]  # a Decimal prints without leading zeros
     if digits is not None:
         lines += [f"digits (base {args.base}) = {digits}", f"units digit = {digits.units_digit}"]
@@ -98,6 +116,7 @@ def cmd_tri(args: argparse.Namespace) -> _Output:
 
 
 def cmd_residues(args: argparse.Namespace) -> _Output:
+    from .residues import _digit_set, residue_profile
     profile = residue_profile(args.base)
     doc = {
         "base": profile.base,
@@ -113,10 +132,11 @@ def cmd_residues(args: argparse.Namespace) -> _Output:
     lines += [f"{r['digit']:>5}  {r['exact']:>7}  {r['approx']:.6f}" for r in doc["frequencies"]]
     lines.append(f"reachable: {_digit_set(doc['reachable'])}")
     lines.append(f"missing: {_digit_set(profile.missing_digits)}")
-    return lines, lambda: [json.dumps(doc, indent=2)]
+    return lines, lambda: _json_text(doc)
 
 
 def cmd_classify(args: argparse.Namespace) -> _Output:
+    from .residues import _digit_set, classify_base
     doc = [
         {"base": p.base, "gappy": p.gappy, "missing": list(p.missing_digits)}
         for p in map(classify_base, _parse_bases(args.bases))
@@ -125,16 +145,18 @@ def cmd_classify(args: argparse.Namespace) -> _Output:
     lines += [
         f"{r['base']:>4}  {'yes' if r['gappy'] else 'no':<5}  {_digit_set(r['missing'])}" for r in doc
     ]
-    return lines, lambda: [json.dumps(doc, indent=2)]
+    return lines, lambda: _json_text(doc)
 
 
 def cmd_prove(args: argparse.Namespace) -> _Output:
+    from .prover import enumerate_cases, render_transcript
     return render_transcript(enumerate_cases(args.base)).splitlines(), None
 
 
 def cmd_freq(args: argparse.Namespace) -> _Output:
-    empirical = empirical_frequencies(args.base, args.count)
-    n = empirical.sample_size
+    from .residues import DEFAULT_SAMPLE_SIZE, empirical_frequencies, residue_profile
+    n = DEFAULT_SAMPLE_SIZE if args.count is None else args.count
+    empirical = empirical_frequencies(args.base, n)
     rows = []
     # Integer true division is correctly rounded, as Fraction.__float__ is, so these
     # are the floats of the exact proportion, frequency and deviation.
@@ -150,7 +172,7 @@ def cmd_freq(args: argparse.Namespace) -> _Output:
         })
     doc = {
         "base": args.base,
-        "count": args.count,
+        "count": n,
         "digits": rows,
         "max_deviation": max(r["deviation"] for r in rows),
     }
@@ -163,10 +185,11 @@ def cmd_freq(args: argparse.Namespace) -> _Output:
         for r in rows
     ]
     lines.append(f"max deviation = {doc['max_deviation']:.6f}")
-    return lines, lambda: [json.dumps(doc, indent=2)]
+    return lines, lambda: _json_text(doc)
 
 
 def cmd_simulate(args: argparse.Namespace) -> _Output:
+    from .growth import digit_histogram, fit_power_law, parse_dynamics, simulate
     dynamics = parse_dynamics(args.dynamics)
     if args.base is not None:
         validate_base(args.base)  # before the trace, which may be long
@@ -229,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("freq", help="empirical units-digit counts vs exact frequencies")
     p.add_argument("--base", type=_option_natural, required=True)
-    p.add_argument("--count", type=_option_natural, default=DEFAULT_SAMPLE_SIZE)
+    p.add_argument("--count", type=_option_natural)  # None: residues' DEFAULT_SAMPLE_SIZE
 
     p = sub.add_parser("simulate", help="cumulative-sum growth trace and power-law fit")
     p.add_argument("--dynamics", required=True, help="linear | constant:c | decline:D,a")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import tri_mod, validate_base, validate_natural
-from .residues import _missing, fundamental_window
+from .residues import _digit_set, _missing, fundamental_window
 
 __all__ = [
     "CongruenceCase", "ProofTranscript", "enumerate_cases", "verify_case", "render_transcript",
@@ -76,10 +76,6 @@ def enumerate_cases(base: int) -> ProofTranscript:
             cases.append(CongruenceCase(base, i, PARITY_EVEN, j_even))
             cases.append(CongruenceCase(base, i, PARITY_ODD, j_odd))
     return ProofTranscript(base=base, cases=tuple(cases))
-
-
-def _digit_set(digits) -> str:
-    return "{" + ",".join(map(str, digits)) + "}"
 
 
 def _parity(case: CongruenceCase) -> tuple[str, int, int]:

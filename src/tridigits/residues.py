@@ -29,6 +29,10 @@ def _missing(base: int, reachable: frozenset[int]) -> tuple[int, ...]:  # in inc
     return tuple(d for d in range(base) if d not in reachable)
 
 
+def _digit_set(digits) -> str:
+    return "{" + ",".join(map(str, digits)) + "}"
+
+
 @dataclass(frozen=True)
 class ResidueProfile:
     """Exact units-digit distribution of triangular numbers in one base."""

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from tridigits import (
     DEFAULT_SAMPLE_SIZE, digit_histogram, empirical_frequencies, fit_power_law, parse_dynamics,
-    residue_profile, simulate, tri_exact,
+    parse_natural, residue_profile, simulate, tri_exact,
 )
 from tridigits.cli import _MAX_DIGITS, _MAX_STEPS, _SLICE, main
 
@@ -186,6 +186,38 @@ def test_tri_refuses_an_index_over_the_digits_limit_before_reading_it(capsys, mo
     assert err == f"error: n must have at most {_MAX_DIGITS} digits, got {len(n)}\n"
 
 
+_OVER_LIMIT = "9" * (_MAX_DIGITS + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["freq", "--base", "10", "--count", _OVER_LIMIT],
+    ["simulate", "--dynamics", "linear", "--steps", "5", "--initial", _OVER_LIMIT],
+    ["simulate", "--dynamics", "linear", "--steps", _OVER_LIMIT],
+    ["residues", "--base", _OVER_LIMIT],
+    ["classify", "--bases", f"3..5,{_OVER_LIMIT}"],
+], ids=["count", "initial", "steps", "base", "bases"])
+def test_integers_over_the_digits_limit_are_refused_before_reading_them(capsys, monkeypatch, argv):
+    def guarded(text):
+        assert len(text) <= _MAX_DIGITS, "read an integer over the digits limit"
+        return parse_natural(text)
+
+    monkeypatch.setattr("tridigits.cli.parse_natural", guarded)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    assert line.endswith(f"must have at most {_MAX_DIGITS} digits, got {_MAX_DIGITS + 1}")
+
+
+def test_freq_counts_a_sample_at_the_digits_limit(capsys):
+    count = "1" + "0" * (_MAX_DIGITS - 1)  # base 2: half of the sample ends in each digit
+    code, out, err = run_cli(capsys, "freq", "--base", "2", "--count", count)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == f"count = {count}"
+    assert [line.split()[:2] for line in lines[3:5]] == [["0", "5" + count[2:]], ["1", "5" + count[2:]]]
+
+
 RESIDUES_BASE10_TABLE = """\
 base = 10
 period = 20
@@ -327,6 +359,14 @@ def test_freq_single_sample(capsys):
     by_digit = {entry["digit"]: entry for entry in doc["digits"]}
     assert by_digit[1]["count"] == 1
     assert by_digit[1]["proportion"] == 1.0
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_freq_without_count_samples_the_default_size(capsys, fmt):
+    default = run_cli(capsys, "freq", "--base", "10", "--format", fmt)
+    assert default == run_cli(capsys, "freq", "--base", "10", "--count", "100000", "--format", fmt)
+    assert default[0] == 0 and DEFAULT_SAMPLE_SIZE == 100_000
+    assert ("count = 100000\n" if fmt == "table" else '"count": 100000,') in default[1]
 
 
 def test_freq_zero_count_rejected(capsys):
@@ -483,7 +523,7 @@ def test_simulate_rejects_base_before_simulating(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("simulated before --base was checked")
 
-    monkeypatch.setattr("tridigits.cli.simulate", refuse)
+    monkeypatch.setattr("tridigits.growth.simulate", refuse)
     code, out, err = run_cli(
         capsys, "simulate", "--dynamics", "linear", "--steps", "1000000", "--base", "300"
     )
@@ -501,7 +541,7 @@ def test_simulate_refuses_steps_over_the_limit_before_simulating(capsys, monkeyp
     def refuse(*args):
         raise AssertionError("simulated over the --steps limit")
 
-    monkeypatch.setattr("tridigits.cli.simulate", refuse)
+    monkeypatch.setattr("tridigits.growth.simulate", refuse)
     for fmt in ("table", "json"):
         code, out, err = run_cli(
             capsys, "simulate", "--dynamics", "linear", "--steps", str(steps), "--format", fmt
@@ -518,7 +558,7 @@ def test_simulate_runs_at_the_steps_limit(monkeypatch):
         horizons.append(horizon)
         raise _Simulated
 
-    monkeypatch.setattr("tridigits.cli.simulate", record)
+    monkeypatch.setattr("tridigits.growth.simulate", record)
     with pytest.raises(_Simulated):
         main(["simulate", "--dynamics", "linear", "--steps", str(_MAX_STEPS), "--base", "10"])
     assert horizons == [_MAX_STEPS]
@@ -539,7 +579,7 @@ def test_simulate_refuses_wide_totals_before_simulating(capsys, monkeypatch, arg
     def refuse(*args):
         raise AssertionError("simulated a trace over the size limit")
 
-    monkeypatch.setattr("tridigits.cli.simulate", refuse)
+    monkeypatch.setattr("tridigits.growth.simulate", refuse)
     for fmt in ("table", "json"):
         code, out, err = run_cli(capsys, "simulate", *argv, "--steps", "5000", "--format", fmt)
         assert (code, out) == (2, "")
@@ -556,7 +596,7 @@ def test_simulate_runs_at_the_steps_limit_with_64_bit_totals(monkeypatch):
         horizons.append((horizon, initial))
         raise _Simulated
 
-    monkeypatch.setattr("tridigits.cli.simulate", record)
+    monkeypatch.setattr("tridigits.growth.simulate", record)
     with pytest.raises(_Simulated):
         main(["simulate", "--dynamics", "linear", "--steps", str(_MAX_STEPS),
               "--initial", str(2**63 - 1)])
